@@ -1,6 +1,6 @@
-// §9.3 "Trusted primitive vectorization": the hand-written SIMD sort/merge kernels against the
-// standard-library alternatives the paper swaps in (libc qsort and std::sort), plus the induced
-// GroupBy slowdown.
+// §9.3 "Trusted primitive vectorization": the hand-written SIMD sort/merge kernels and the
+// production radix sort (kAuto) against the standard-library alternatives the paper swaps in
+// (libc qsort and std::sort), plus ns/key at the batch sizes the GroupBy pipelines sort.
 //
 // Paper: vectorized sort beats std::sort by >2x and qsort by much more; replacing it inside
 // GroupBy costs 2x (std::sort) to 7x (qsort).
@@ -13,6 +13,7 @@
 #include "bench/bench_util.h"
 #include "src/common/rng.h"
 #include "src/common/time.h"
+#include "src/primitives/kv.h"
 #include "src/primitives/vec_sort.h"
 
 namespace sbt {
@@ -45,6 +46,42 @@ double TimeSort(const std::vector<int64_t>& input, int reps, SortFn&& sort_fn) {
   return best;
 }
 
+// ns/key sorting one n-key batch, best of 5 rounds over ~1M keys of Distinct-shaped words
+// (taxi ids < 11000, meter values < 500: 4 varying bytes), a fresh batch per call.
+double BatchNsPerKey(size_t n, SortImpl impl) {
+  const size_t batches = std::max<size_t>(1, (1u << 20) / n);
+  Xoshiro256 rng(n);
+  std::vector<int64_t> input(n * batches);
+  for (auto& v : input) {
+    v = PackKV(static_cast<uint32_t>(rng.NextBelow(11000)),
+               static_cast<int32_t>(rng.NextBelow(500)));
+  }
+  std::vector<int64_t> work(input.size());
+  std::vector<int64_t> scratch(n);
+  double best = 1e18;
+  for (int r = 0; r < 5; ++r) {
+    work = input;
+    const ProcTimeUs t0 = NowUs();
+    for (size_t b = 0; b < batches; ++b) {
+      SortI64(std::span<int64_t>(work).subspan(b * n, n), scratch, impl);
+    }
+    const double ns = static_cast<double>(NowUs() - t0) * 1e3;
+    best = std::min(best, ns / static_cast<double>(work.size()));
+  }
+  return best;
+}
+
+void PrintBatchSizes() {
+  std::printf("\nns/key per batch sort, Distinct-shaped keys (crossover: %zu keys)\n",
+              kRadixSortMinKeys);
+  std::printf("%8s %10s %10s %10s\n", "keys", "kAuto", "kVector", "kScalar");
+  for (size_t n : {size_t{256}, size_t{4096}, size_t{25000}}) {
+    std::printf("%8zu %10.1f %10.1f %10.1f\n", n, BatchNsPerKey(n, SortImpl::kAuto),
+                VectorSortSupported() ? BatchNsPerKey(n, SortImpl::kVector) : 0.0,
+                BatchNsPerKey(n, SortImpl::kScalar));
+  }
+}
+
 void RunVectorizeSort() {
   const size_t n = 1u << 20;  // 1M keys, the per-window sort size
   const int reps = 3;
@@ -57,6 +94,9 @@ void RunVectorizeSort() {
   const double vec_s = TimeSort(input, reps, [&scratch](std::vector<int64_t>& d) {
     SortI64(d, scratch, SortImpl::kVector);
   });
+  const double auto_s = TimeSort(input, reps, [&scratch](std::vector<int64_t>& d) {
+    SortI64(d, scratch, SortImpl::kAuto);
+  });
   const double scalar_s = TimeSort(input, reps, [&scratch](std::vector<int64_t>& d) {
     SortI64(d, scratch, SortImpl::kScalar);
   });
@@ -68,6 +108,7 @@ void RunVectorizeSort() {
 
   const double mkeys = input.size() / 1e6;
   std::printf("%-22s %8.3f s  %7.1f Mkeys/s\n", "SBT vectorized (AVX2)", vec_s, mkeys / vec_s);
+  std::printf("%-22s %8.3f s  %7.1f Mkeys/s\n", "SBT radix (kAuto)", auto_s, mkeys / auto_s);
   std::printf("%-22s %8.3f s  %7.1f Mkeys/s  (%.1fx slower)\n", "SBT scalar mergesort",
               scalar_s, mkeys / scalar_s, scalar_s / vec_s);
   std::printf("%-22s %8.3f s  %7.1f Mkeys/s  (%.1fx slower)\n", "std::sort", std_s,
@@ -91,6 +132,7 @@ void RunVectorizeSort() {
         .Num("speedup_vs_scalar", scalar_s / secs);
   };
   sort_row("vectorized", vec_s);
+  sort_row("auto", auto_s);
   sort_row("scalar", scalar_s);
   sort_row("std_sort", std_s);
   sort_row("qsort", qsort_s);
@@ -139,6 +181,8 @@ void RunVectorizeSort() {
   merge_row("scalar", scalar_merge_s);
   merge_row("std_merge", smerge_s);
   report.Write();
+
+  PrintBatchSizes();
 }
 
 }  // namespace

@@ -203,7 +203,9 @@ Status Runner::IngestFrame(std::span<const uint8_t> frame, uint16_t stream,
 
   // Chain tickets, worker lanes, and window membership are all fixed here, on the submitting
   // thread, in ascending window order (PrimSegment returns ascending) — the execution schedule
-  // can no longer influence anything the audit stream or the close chains will see.
+  // can no longer influence anything the audit stream or the close chains will see. Tickets
+  // open before wmu_ is taken: OpenTicket waits while the retire ring is full, and the ticket
+  // it waits for may be a close that only a worker holding wmu_ can queue.
   struct PlannedChain {
     ExecTicket ticket;
     uint32_t lane = 0;
@@ -213,21 +215,23 @@ Status Runner::IngestFrame(std::span<const uint8_t> frame, uint16_t stream,
   std::vector<PlannedChain> chains;
   chains.reserve(windowed->outputs.size());
   const uint32_t chain_ids = static_cast<uint32_t>(pipeline_.batch_chain().size());
+  for (const OutputInfo& out : windowed->outputs) {
+    PlannedChain chain;
+    chain.ticket = dp_->OpenTicket(chain_ids);
+    chain.lane = kWorkerLaneBase +
+                 next_worker_lane_.fetch_add(1, std::memory_order_relaxed) % kLaneSlots;
+    chain.ref = out.ref;
+    chain.win_no = out.win_no;
+    chains.push_back(std::move(chain));
+  }
   {
     std::lock_guard<std::mutex> lock(wmu_);
-    for (const OutputInfo& out : windowed->outputs) {
-      WindowState& ws = windows_[out.win_no];
+    for (const PlannedChain& chain : chains) {
+      WindowState& ws = windows_[chain.win_no];
       if (ws.contributions.empty()) {
         ws.contributions.resize(pipeline_.num_streams());
       }
       ++ws.pending_chains;
-      PlannedChain chain;
-      chain.ticket = dp_->OpenTicket(chain_ids);
-      chain.lane = kWorkerLaneBase +
-                   next_worker_lane_.fetch_add(1, std::memory_order_relaxed) % kLaneSlots;
-      chain.ref = out.ref;
-      chain.win_no = out.win_no;
-      chains.push_back(std::move(chain));
     }
   }
   for (PlannedChain& chain : chains) {
@@ -348,30 +352,43 @@ Status Runner::AdvanceWatermark(EventTimeMs value) {
   // that ticket carries the close chain's audit position and its reserved stage-output ids,
   // and its seq joins close_order_, the sequence the completion stage egresses in. The chains
   // still pending for a window all hold earlier tickets (membership was final at segment
-  // time), so the close always commits after its inputs.
+  // time), so the close always commits after its inputs. As in IngestFrame, the tickets open
+  // with no runner lock held (a full retire ring waits for a close that needs wmu_ to be
+  // queued and cmu_ to egress); windows are marked only once their tickets exist, so a chain
+  // finishing in between cannot queue a close that has no ticket yet.
   const uint32_t stage_ids =
       close_ids_reservable_ ? static_cast<uint32_t>(pipeline_.window_stages().size()) : 0;
+  std::vector<uint32_t> closing;
+  {
+    std::lock_guard<std::mutex> lock(wmu_);
+    for (const auto& [index, ws] : windows_) {
+      if (pipeline_.WindowEnd(index) <= value && !ws.close_requested) {
+        closing.push_back(index);
+      }
+    }
+  }
+  std::vector<ExecTicket> tickets;
+  tickets.reserve(closing.size());
+  for (size_t i = 0; i < closing.size(); ++i) {
+    tickets.push_back(dp_->OpenTicket(stage_ids));
+  }
   std::vector<std::pair<uint32_t, WindowState>> to_close;
   {
     std::lock_guard<std::mutex> lock(wmu_);
     std::lock_guard<std::mutex> order_lock(cmu_);
-    for (auto it = windows_.begin(); it != windows_.end();) {
-      const uint64_t window_end = pipeline_.WindowEnd(it->first);
-      if (window_end > value || it->second.close_requested) {
-        ++it;
-        continue;
-      }
+    for (size_t i = 0; i < closing.size(); ++i) {
+      // Only this (single) submitting thread marks or erases an unmarked window.
+      const auto it = windows_.find(closing[i]);
+      SBT_CHECK(it != windows_.end());
       WindowState& ws = it->second;
       ws.close_requested = true;
       ws.watermark_time = now;
-      ws.close_ticket = dp_->OpenTicket(stage_ids);
+      ws.close_ticket = std::move(tickets[i]);
       close_order_.push_back(ws.close_ticket.seq);
       if (ws.pending_chains == 0) {
         ws.close_enqueued = true;
         to_close.emplace_back(it->first, std::move(ws));
-        it = windows_.erase(it);
-      } else {
-        ++it;
+        windows_.erase(it);
       }
     }
   }

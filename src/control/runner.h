@@ -99,7 +99,7 @@ class Runner {
                      uint64_t ctr_offset = 0, std::span<const FrameSegment> segments = {});
 
   // Advances the (global) watermark: all windows ending at or before `value` close and their
-  // results are computed and egressed asynchronously.
+  // results are computed and egressed asynchronously. One watermarking thread per runner.
   Status AdvanceWatermark(EventTimeMs value);
 
   // Blocks until all queued work (chains + window closes) has finished, including work being

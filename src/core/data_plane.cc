@@ -471,7 +471,6 @@ Result<SubmitResponse> DataPlane::SubmitUnderSession(const CmdBuffer& buffer, Ex
 
     PrimitiveContext ctx;
     ctx.alloc = &alloc_;
-    ctx.sort_impl = config_.sort_impl;
     ctx.generation = static_cast<uint64_t>(cmd.op);
     // A ticketed chain's outputs take the ids reserved at ticket-open time (program order), so
     // the audit stream cannot see which worker executed the chain, or when. The cursor lives in

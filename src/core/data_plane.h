@@ -62,7 +62,6 @@ struct DataPlaneConfig {
   TzPartitionConfig partition;
   WorldSwitchConfig switch_cost;
   PlacementPolicy placement = PlacementPolicy::kHintGuided;
-  SortImpl sort_impl = SortImpl::kAuto;
 
   // Ingress security (Table 5): decrypt AES-128-CTR frames on ingestion.
   bool decrypt_ingress = true;

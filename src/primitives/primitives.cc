@@ -294,8 +294,7 @@ Result<UArray*> PrimSort(const PrimitiveContext& ctx, const UArray& kv) {
     ctx.alloc->Retire(scratch);
     return scratch_buf.status();
   }
-  SortI64(std::span<int64_t>(dst, in.size()), std::span<int64_t>(*scratch_buf, in.size()),
-          ctx.sort_impl);
+  SortI64(std::span<int64_t>(dst, in.size()), std::span<int64_t>(*scratch_buf, in.size()));
   scratch->Produce();
   ctx.alloc->Retire(scratch);
   out->Produce();
@@ -312,8 +311,7 @@ Result<UArray*> PrimMerge(const PrimitiveContext& ctx, const UArray& a, const UA
 
   SBT_ASSIGN_OR_RETURN(UArray * out, ctx.NewOutput(sizeof(PackedKV), scope));
   SBT_ASSIGN_OR_RETURN(int64_t * dst, out->AppendUninitializedAs<int64_t>(a.size() + b.size()));
-  MergeI64(a.Span<int64_t>(), b.Span<int64_t>(),
-           std::span<int64_t>(dst, a.size() + b.size()), ctx.sort_impl);
+  MergeI64(a.Span<int64_t>(), b.Span<int64_t>(), std::span<int64_t>(dst, a.size() + b.size()));
   out->Produce();
   return out;
 }
@@ -329,47 +327,36 @@ Result<UArray*> PrimMergeN(const PrimitiveContext& ctx, const std::vector<const 
   if (inputs.size() == 1) {
     return PrimCompact(ctx, *inputs[0]);
   }
-
-  // Tournament of binary merges; intermediates are temporaries retired as soon as consumed.
-  std::vector<const UArray*> round(inputs.begin(), inputs.end());
-  std::vector<UArray*> intermediates;
-  while (round.size() > 1) {
-    std::vector<const UArray*> next;
-    const bool final_round = round.size() <= 2;
-    for (size_t i = 0; i + 1 < round.size(); i += 2) {
-      PrimitiveContext sub = ctx;
-      if (!final_round) {
-        sub.hint = PlacementHint::None();
-      }
-      // Non-final intermediates are scratch: they retire before MergeN returns and must not
-      // consume audit-visible ids (their count depends on the input fan-in).
-      auto merged = final_round
-                        ? PrimMerge(ctx, *round[i], *round[i + 1])
-                        : PrimMerge(sub, *round[i], *round[i + 1], UArrayScope::kTemporary);
-      if (!merged.ok()) {
-        for (UArray* tmp : intermediates) {
-          ctx.alloc->Retire(tmp);
-        }
-        return merged.status();
-      }
-      next.push_back(*merged);
-      if (!final_round) {
-        intermediates.push_back(*merged);
-      }
-    }
-    if (round.size() % 2 == 1) {
-      next.push_back(round.back());
-    }
-    round = std::move(next);
+  if (inputs.size() == 2) {
+    return PrimMerge(ctx, *inputs[0], *inputs[1]);
   }
 
-  UArray* result = const_cast<UArray*>(round[0]);
-  for (UArray* tmp : intermediates) {
-    if (tmp != result) {
-      ctx.alloc->Retire(tmp);
-    }
+  // Three or more runs: concatenate them into the output and radix-sort it in place. The cost
+  // does not grow with the fan-in, and the bytes equal any merge's: a sorted array is unique.
+  size_t total = 0;
+  for (const UArray* in : inputs) {
+    total += in->size();
   }
-  return result;
+  SBT_ASSIGN_OR_RETURN(UArray * out, ctx.NewOutput(sizeof(PackedKV)));
+  SBT_ASSIGN_OR_RETURN(UArray * scratch, ctx.NewTemp(sizeof(PackedKV)));
+  auto dst = out->AppendUninitializedAs<int64_t>(total);
+  auto scratch_buf = scratch->AppendUninitializedAs<int64_t>(total);
+  if (!dst.ok() || !scratch_buf.ok()) {
+    // Under pool exhaustion a half-built output would pin `total` words; give both back.
+    ctx.alloc->Retire(scratch);
+    ctx.alloc->Retire(out);
+    return dst.ok() ? scratch_buf.status() : dst.status();
+  }
+  size_t pos = 0;
+  for (const UArray* in : inputs) {
+    std::memcpy(*dst + pos, in->data(), in->size_bytes());
+    pos += in->size();
+  }
+  SortI64(std::span<int64_t>(*dst, total), std::span<int64_t>(*scratch_buf, total));
+  scratch->Produce();
+  ctx.alloc->Retire(scratch);
+  out->Produce();
+  return out;
 }
 
 Result<UArray*> PrimSumCnt(const PrimitiveContext& ctx, const UArray& sorted_kv) {

@@ -40,12 +40,11 @@ struct JoinRow {
 };
 static_assert(sizeof(JoinRow) == 12);
 
-// Per-invocation context: where outputs are placed and which kernel flavor to use.
+// Per-invocation context: where outputs are placed and which audit ids they take.
 struct PrimitiveContext {
   UArrayAllocator* alloc = nullptr;
   PlacementHint hint = PlacementHint::None();
   uint64_t generation = 0;
-  SortImpl sort_impl = SortImpl::kAuto;
   // When set, outputs take the next id from this pre-reserved range (deterministic audit ids
   // under out-of-order parallel execution); exhausted or absent, the shared counter decides.
   IdReservation* ids = nullptr;
@@ -131,7 +130,9 @@ Result<UArray*> PrimSort(const PrimitiveContext& ctx, const UArray& kv);
 Result<UArray*> PrimMerge(const PrimitiveContext& ctx, const UArray& a, const UArray& b,
                           UArrayScope scope = UArrayScope::kStreaming);
 
-// kMergeN: merges N sorted uArrays (iterated binary vectorized merges).
+// kMergeN: merges N sorted uArrays into one sorted output. One input is copied (as kCompact),
+// two take one binary merge, and three or more are concatenated into the output and radix
+// sorted in place with one temporary scratch array. Exactly one audit-visible output.
 Result<UArray*> PrimMergeN(const PrimitiveContext& ctx, const std::vector<const UArray*>& inputs);
 
 // kSumCnt: per-key sum and count over a sorted input -> KeySumCount, key-ascending.

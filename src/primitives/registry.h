@@ -21,7 +21,7 @@ enum class PrimitiveOp : uint16_t {
   // Trusted primitives.
   kSort = 10,         // sort a PackedKV uArray (vectorized)
   kMerge = 11,        // merge two sorted PackedKV uArrays
-  kMergeN = 12,       // N-way merge via iterated binary merges
+  kMergeN = 12,       // N-way merge (copy, binary merge, or concatenate + radix sort)
   kSegment = 13,      // split an Event uArray into per-window uArrays
   kSumCnt = 14,       // per-key sum+count over a sorted PackedKV uArray
   kMergeSumCnt = 15,  // merge two sorted KeySumCount uArrays (partial aggregates)

@@ -1,8 +1,8 @@
 #include "src/primitives/vec_sort.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
-#include <vector>
 
 #include "src/common/logging.h"
 
@@ -74,52 +74,51 @@ void ScalarSort(std::span<int64_t> data, std::span<int64_t> scratch) {
 }
 
 // ---------------------------------------------------------------------------
-// Radix path for large monolithic sorts: LSD counting sort over 16-bit digits (4 passes,
-// strictly sequential reads, bounded 512KB count tables). Used by the "vectorized" sort flavor
-// for large inputs — the same engineering trade the paper makes: simple array passes that beat
-// comparison sorts by a wide margin inside a TEE.
+// Radix path: LSD counting sort over the eight 8-bit digits of the sign-biased word. One read
+// builds all eight histograms; a digit whose histogram holds every element in one bucket is
+// the same in every word and is skipped, so GroupBy's packed (key, value) words take only as
+// many scatter passes as they have varying bytes. Reads are sequential and the count tables
+// take 8 KB of stack.
 // ---------------------------------------------------------------------------
 
 void RadixSort(std::span<int64_t> data, std::span<int64_t> scratch) {
   const size_t n = data.size();
-  constexpr int kDigitBits = 16;
-  constexpr size_t kBuckets = 1u << kDigitBits;
-  std::vector<uint32_t> counts(kBuckets);
-
+  SBT_CHECK(n <= UINT32_MAX);
+  // Flipping the sign bit maps signed order onto unsigned digit order (it only changes the
+  // top digit).
+  constexpr uint64_t kSignBit = 1ull << 63;
   uint64_t* src = reinterpret_cast<uint64_t*>(data.data());
   uint64_t* dst = reinterpret_cast<uint64_t*>(scratch.data());
 
-  for (int pass = 0; pass < 4; ++pass) {
-    const int shift = pass * kDigitBits;
-    std::fill(counts.begin(), counts.end(), 0);
-    if (pass < 3) {
-      for (size_t i = 0; i < n; ++i) {
-        ++counts[(src[i] >> shift) & (kBuckets - 1)];
-      }
-    } else {
-      // Top digit: bias the sign bit so signed order falls out of unsigned bucketing.
-      for (size_t i = 0; i < n; ++i) {
-        ++counts[((src[i] ^ 0x8000000000000000ull) >> shift) & (kBuckets - 1)];
-      }
+  uint32_t counts[8][256] = {};
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t key = src[i] ^ kSignBit;
+    for (int d = 0; d < 8; ++d) {
+      ++counts[d][(key >> (8 * d)) & 0xff];
+    }
+  }
+  const uint64_t first = src[0] ^ kSignBit;
+  for (int d = 0; d < 8; ++d) {
+    const int shift = 8 * d;
+    uint32_t* offsets = counts[d];
+    if (offsets[(first >> shift) & 0xff] == n) {
+      continue;  // constant digit: the pass would be the identity permutation
     }
     uint32_t running = 0;
-    for (size_t b = 0; b < kBuckets; ++b) {
-      const uint32_t c = counts[b];
-      counts[b] = running;
+    for (int b = 0; b < 256; ++b) {
+      const uint32_t c = offsets[b];
+      offsets[b] = running;
       running += c;
     }
-    if (pass < 3) {
-      for (size_t i = 0; i < n; ++i) {
-        dst[counts[(src[i] >> shift) & (kBuckets - 1)]++] = src[i];
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        dst[counts[((src[i] ^ 0x8000000000000000ull) >> shift) & (kBuckets - 1)]++] = src[i];
-      }
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t v = src[i];
+      dst[offsets[((v ^ kSignBit) >> shift) & 0xff]++] = v;
     }
     std::swap(src, dst);
   }
-  // Four passes: data ends back in the original buffer.
+  if (src != reinterpret_cast<uint64_t*>(data.data())) {
+    std::memcpy(data.data(), src, n * sizeof(int64_t));
+  }
 }
 
 #if defined(__x86_64__)
@@ -250,10 +249,8 @@ __attribute__((target("avx2"))) void VectorMerge(const int64_t* a, size_t na, co
 __attribute__((target("avx2"))) void VectorSort(std::span<int64_t> data,
                                                 std::span<int64_t> scratch) {
   const size_t n = data.size();
-  // Large arrays: digit passes beat comparison merging by a wide margin (and keep the strictly
-  // sequential access pattern the TEE wants). The SIMD bitonic path below handles small arrays
-  // and powers MergeI64.
-  // Below this size the 4x 256KB count-table fills outweigh the digit passes.
+  // Large arrays take the radix path, as kAuto does from far fewer keys; below this size kVector
+  // keeps the bitonic kernels it exists to measure (bench/vectorize_sort).
   constexpr size_t kRadixThreshold = 1u << 16;
   if (n >= kRadixThreshold) {
     RadixSort(data, scratch);
@@ -292,11 +289,11 @@ __attribute__((target("avx2"))) void VectorSort(std::span<int64_t> data,
 
 #endif  // __x86_64__
 
-bool CpuHasAvx2() {
+}  // namespace
+
+bool VectorSortSupported() {
 #if defined(__x86_64__)
-  // Probe exactly once. __builtin_cpu_supports is a function call into libgcc's cpu-model
-  // lookup, and this sits on per-call dispatch paths (SortI64/MergeI64 kAuto,
-  // VectorSortSupported in test sweeps) — every dispatch point shares this one cached probe.
+  // Probed once: __builtin_cpu_supports is a call into libgcc's cpu-model lookup.
   static const bool supported = __builtin_cpu_supports("avx2") != 0;
   return supported;
 #else
@@ -304,33 +301,28 @@ bool CpuHasAvx2() {
 #endif
 }
 
-bool UseVector(SortImpl impl) {
-  switch (impl) {
-    case SortImpl::kVector:
-      return true;
-    case SortImpl::kScalar:
-      return false;
-    case SortImpl::kAuto:
-      return CpuHasAvx2();
-  }
-  return false;
-}
-
-}  // namespace
-
-bool VectorSortSupported() { return CpuHasAvx2(); }  // cached probe, shared with kAuto dispatch
-
 void SortI64(std::span<int64_t> data, std::span<int64_t> scratch, SortImpl impl) {
   SBT_CHECK(scratch.size() >= data.size());
   if (data.size() < 2) {
     return;
   }
+  switch (impl) {
+    case SortImpl::kAuto:
+      if (data.size() >= kRadixSortMinKeys) {
+        RadixSort(data, scratch);
+        return;
+      }
+      break;
+    case SortImpl::kVector:
 #if defined(__x86_64__)
-  if (UseVector(impl)) {
-    VectorSort(data, scratch);
-    return;
-  }
+      VectorSort(data, scratch);
+      return;
+#else
+      break;
 #endif
+    case SortImpl::kScalar:
+      break;
+  }
   ScalarSort(data, scratch);
 }
 

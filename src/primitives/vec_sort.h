@@ -1,16 +1,20 @@
-// Vectorized sort and merge kernels (paper §5 "Trusted primitives and vectorization").
+// Sort and merge kernels for the sort-merge primitives (paper §5 "Trusted primitives and
+// vectorization"). They sort signed 64-bit words (see kv.h for why records pack into that
+// order).
 //
-// The paper hand-writes ARMv8 NEON kernels; on this x86-64 host we hand-write the AVX2
-// equivalents with the same structure — in-register sorting networks for short blocks plus a
-// bitonic two-run merge — and keep a portable scalar bottom-up mergesort as the fallback. For
-// large monolithic sorts the fast path switches to an LSD radix sort (sequential digit passes,
-// bounded tables), which is how one maximizes an array sort inside a TEE on this ISA; the SIMD
-// kernels still carry every merge and all small sorts. The implementation sorts signed 64-bit
-// words (see kv.h for why records pack into that order).
+// The production path (SortImpl::kAuto) is an LSD radix sort over 8-bit digits. One counting
+// read builds every digit's histogram, and a digit that is the same in every word is skipped:
+// GroupBy's packed (key, value) words vary in only 4 to 6 of their 8 bytes, so they take 4 to
+// 6 scatter passes. Below kRadixSortMinKeys the fixed cost of the count tables outweighs what
+// the passes save, and a scalar bottom-up mergesort runs instead. Both are non-recursive, read
+// sequentially, and allocate nothing beyond the caller's scratch, as the paper wants inside a
+// TEE.
 //
-// Entry points dispatch on CPU features once at startup; benchmarks can force a path to measure
-// the speedup (bench/vectorize_sort reproduces the paper's 2x/7x claims against std::sort and
-// libc qsort).
+// The paper hand-writes ARMv8 NEON sorting networks. SortImpl::kVector keeps the AVX2
+// equivalents (in-register sorting networks plus a bitonic two-run merge, the radix sort from
+// 64K keys) so bench/vectorize_sort can measure them against the scalar mergesort (kScalar),
+// std::sort and libc qsort (§9.3). Every implementation returns the same bytes, because a
+// sorted int64 array is unique.
 
 #ifndef SRC_PRIMITIVES_VEC_SORT_H_
 #define SRC_PRIMITIVES_VEC_SORT_H_
@@ -22,16 +26,20 @@
 namespace sbt {
 
 enum class SortImpl : uint8_t {
-  kAuto = 0,    // AVX2 when available, else scalar
+  kAuto = 0,    // radix sort from kRadixSortMinKeys keys, scalar mergesort below
   kVector = 1,  // force the AVX2 kernels (callers must know AVX2 exists)
   kScalar = 2,  // force the portable mergesort
 };
 
+// kAuto's crossover from the mergesort to the radix sort, measured on a 4-core Sapphire Rapids
+// Xeon (README "SIMD hot loops").
+inline constexpr size_t kRadixSortMinKeys = 256;
+
 // True when the AVX2 kernels are usable on this CPU.
 bool VectorSortSupported();
 
-// Sorts `data` ascending (signed). O(n log n) bottom-up mergesort; sequential access only;
-// uses `scratch` (same length) as the ping-pong buffer.
+// Sorts `data` ascending (signed) with the kernel `impl` names; uses `scratch` (at least the
+// same length) as the ping-pong buffer.
 void SortI64(std::span<int64_t> data, std::span<int64_t> scratch, SortImpl impl = SortImpl::kAuto);
 
 // Merges two sorted runs into `out` (out.size() == a.size() + b.size()).

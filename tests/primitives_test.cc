@@ -1,13 +1,15 @@
 // Unit + differential tests for the trusted primitives.
 //
-// Every GroupBy-family primitive is checked against an obvious reference computation, and the
-// vectorized sort/merge kernels are differentially tested against std::sort / std::merge across
-// sizes and distributions (the paper's determinism requirement: same inputs -> same bytes).
+// Every GroupBy-family primitive is checked against an obvious reference computation, and every
+// sort/merge kernel (radix, AVX2, scalar) is differentially tested against std::sort /
+// std::merge across sizes and distributions (the paper's determinism requirement: same inputs
+// -> same bytes).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -97,8 +99,9 @@ TEST_P(VecSortTest, MatchesStdSortAcrossSizes) {
     GTEST_SKIP() << "no AVX2";
   }
   Xoshiro256 rng(77);
-  for (size_t n :
-       {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 15u, 16u, 17u, 63u, 100u, 1000u, 4096u, 100000u}) {
+  for (size_t n : std::vector<size_t>{0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 63, 100,
+                                      kRadixSortMinKeys - 1, kRadixSortMinKeys,
+                                      kRadixSortMinKeys + 1, 1000, 4096, 100000}) {
     std::vector<int64_t> data(n);
     for (auto& v : data) {
       v = static_cast<int64_t>(rng.Next());
@@ -193,11 +196,14 @@ TEST_P(VecSortTest, MergeLargeRuns) {
   EXPECT_EQ(out, expected);
 }
 
+std::string SortImplName(const ::testing::TestParamInfo<SortImpl>& info) {
+  constexpr const char* kNames[] = {"Auto", "Vector", "Scalar"};  // SortImpl order
+  return kNames[static_cast<int>(info.param)];
+}
+
 INSTANTIATE_TEST_SUITE_P(AllImpls, VecSortTest,
-                         ::testing::Values(SortImpl::kScalar, SortImpl::kVector),
-                         [](const ::testing::TestParamInfo<SortImpl>& info) {
-                           return info.param == SortImpl::kScalar ? "Scalar" : "Vector";
-                         });
+                         ::testing::Values(SortImpl::kScalar, SortImpl::kVector, SortImpl::kAuto),
+                         SortImplName);
 
 // --- event primitives ----------------------------------------------------------
 

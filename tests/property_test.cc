@@ -27,18 +27,23 @@
 namespace sbt {
 namespace {
 
-// --- sort kernel sweep: size x distribution, both implementations ------------------
+// --- sort kernel sweep: size x distribution, every implementation ---------------------
 
 struct SortCase {
   size_t n;
-  int distribution;  // 0 uniform, 1 few-distinct, 2 sorted, 3 reverse, 4 sawtooth
+  // 0 uniform, 1 few-distinct, 2 sorted, 3 reverse, 4 sawtooth, 5 all equal, 6..13 exactly one
+  // varying byte (byte distribution - 6), 14 only the sign bit varying, 15 negative and
+  // positive mixed. 5..15 are the inputs a radix sort that skips constant bytes can get wrong.
+  int distribution;
 };
+constexpr int kSortDistributions = 16;
 
 class SortSweep : public ::testing::TestWithParam<SortCase> {};
 
-TEST_P(SortSweep, MatchesStdSortBothImpls) {
+TEST_P(SortSweep, MatchesStdSortEveryImpl) {
   const SortCase c = GetParam();
   Xoshiro256 rng(c.n * 31 + c.distribution);
+  constexpr uint64_t kFixedBits = 0x0123456789abcdefull;
   std::vector<int64_t> data(c.n);
   for (size_t i = 0; i < c.n; ++i) {
     switch (c.distribution) {
@@ -54,30 +59,49 @@ TEST_P(SortSweep, MatchesStdSortBothImpls) {
       case 3:
         data[i] = static_cast<int64_t>(c.n - i);
         break;
-      default:
+      case 4:
         data[i] = static_cast<int64_t>(i % 97);
         break;
+      case 5:
+        data[i] = static_cast<int64_t>(kFixedBits);
+        break;
+      case 14:
+        data[i] = static_cast<int64_t>((kFixedBits >> 1) | (rng.NextBelow(2) << 63));
+        break;
+      case 15:
+        data[i] = static_cast<int64_t>(rng.NextBelow(2001)) - 1000;
+        break;
+      default: {
+        const int shift = 8 * (c.distribution - 6);
+        data[i] = static_cast<int64_t>((kFixedBits & ~(0xffull << shift)) |
+                                       (rng.NextBelow(256) << shift));
+        break;
+      }
     }
   }
   std::vector<int64_t> expected = data;
   std::sort(expected.begin(), expected.end());
 
-  for (SortImpl impl : {SortImpl::kScalar, SortImpl::kVector}) {
+  for (SortImpl impl : {SortImpl::kScalar, SortImpl::kVector, SortImpl::kAuto}) {
     if (impl == SortImpl::kVector && !VectorSortSupported()) {
       continue;
     }
     std::vector<int64_t> work = data;
     std::vector<int64_t> scratch(c.n);
     SortI64(work, scratch, impl);
-    EXPECT_EQ(work, expected) << "n=" << c.n << " dist=" << c.distribution;
+    EXPECT_EQ(work, expected) << "n=" << c.n << " dist=" << c.distribution
+                              << " impl=" << static_cast<int>(impl);
   }
 }
 
 std::vector<SortCase> SortCases() {
   std::vector<SortCase> cases;
-  // Sizes straddling the radix threshold (1<<16) and the in-register block sizes.
-  for (size_t n : {3u, 64u, 2047u, 2048u, 65535u, 65536u, 65537u, 200000u}) {
-    for (int d = 0; d < 5; ++d) {
+  // Sizes straddling kAuto's radix crossover, kVector's radix threshold (1<<16), and the
+  // in-register block sizes.
+  for (size_t n : std::vector<size_t>{3, 64, kRadixSortMinKeys - 1, kRadixSortMinKeys,
+                                      kRadixSortMinKeys + 1, 2047, 2048, 65535, 65536, 65537,
+                                      200000}) {
+    for (int d = 0; d < kSortDistributions; ++d) {
       cases.push_back({n, d});
     }
   }
@@ -88,12 +112,19 @@ INSTANTIATE_TEST_SUITE_P(Sweep, SortSweep, ::testing::ValuesIn(SortCases()));
 
 // --- aggregation pipeline property: SumCnt o Sort == reference, across batch splits ----
 
-class SplitInvariance : public ::testing::TestWithParam<int> {};
+struct SplitCase {
+  int k;
+  // Random 64-bit words instead of (key < 300, random value) pairs: every byte varies.
+  bool full_entropy;
+};
+
+class SplitInvariance : public ::testing::TestWithParam<SplitCase> {};
 
 TEST_P(SplitInvariance, MergeOfPartialSortsEqualsGlobalSort) {
   // Splitting a window into k batches, sorting each, and MergeN-ing must equal sorting the
-  // whole window at once — the runner's correctness depends on this.
-  const int k = GetParam();
+  // whole window at once — the runner's correctness depends on this. k = 1, k = 2 and k >= 3
+  // take MergeN's three code paths (copy, binary merge, concatenate + radix sort).
+  const int k = GetParam().k;
   TzPartitionConfig tz;
   tz.secure_dram_bytes = 32u << 20;
   tz.group_reserve_bytes = 32u << 20;
@@ -109,8 +140,9 @@ TEST_P(SplitInvariance, MergeOfPartialSortsEqualsGlobalSort) {
     const size_t n = 1000 + rng.NextBelow(2000);
     std::vector<PackedKV> kvs(n);
     for (auto& kv : kvs) {
-      kv = PackKV(static_cast<uint32_t>(rng.NextBelow(300)),
-                  static_cast<int32_t>(rng.Next32()));
+      kv = GetParam().full_entropy ? static_cast<PackedKV>(rng.Next())
+                                   : PackKV(static_cast<uint32_t>(rng.NextBelow(300)),
+                                            static_cast<int32_t>(rng.Next32()));
     }
     all.insert(all.end(), kvs.begin(), kvs.end());
     auto arr = alloc.Create(sizeof(PackedKV), UArrayScope::kStreaming);
@@ -148,7 +180,13 @@ TEST_P(SplitInvariance, MergeOfPartialSortsEqualsGlobalSort) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Splits, SplitInvariance, ::testing::Values(1, 2, 3, 5, 8, 16));
+INSTANTIATE_TEST_SUITE_P(Splits, SplitInvariance,
+                         ::testing::Values(SplitCase{1, false}, SplitCase{2, false},
+                                           SplitCase{3, false}, SplitCase{5, false},
+                                           SplitCase{8, false}, SplitCase{16, false}));
+INSTANTIATE_TEST_SUITE_P(FullEntropySplits, SplitInvariance,
+                         ::testing::Values(SplitCase{2, true}, SplitCase{3, true},
+                                           SplitCase{64, true}));
 
 // --- compression robustness: random corruption never crashes, round trips always hold ----
 

@@ -16,6 +16,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -30,6 +34,7 @@
 #include "src/control/engine.h"
 #include "src/core/data_plane.h"
 #include "src/core/submit_combiner.h"
+#include "src/obs/metrics.h"
 #include "tests/testing/testing.h"
 
 namespace sbt {
@@ -346,6 +351,152 @@ TEST(CheckpointRace, SealDecisionIsAtomicAgainstCombinedSubmission) {
   EXPECT_EQ(after.chain_seq, bundle->audit.chain_seq + 1);
   EXPECT_EQ(after.record_count, 1u) << "raced chain must commit after the seal, sealed link had "
                                     << sealed_records;
+}
+
+// --- 5. a full retire ring never deadlocks the submitter against the workers ---------------
+//
+// Regression: the runner opened chain tickets under its window lock and close tickets under
+// the window and completion-order locks. DataPlane::OpenTicket waits while the retire ring is
+// full, and when the oldest unretired ticket was a window close, only a worker taking one of
+// those locks could queue (window lock) or egress (completion-order lock) that close. Each
+// scenario parks the close's last work in the held combiner, fills the ring to one free slot,
+// lets the submitter block on it, and then releases the combiner.
+
+constexpr uint64_t kRetireRingSlots = 4096;  // DataPlane's retire-ring size
+
+// Runs `scenario` on its own thread and ends the test binary if it is still running after
+// `budget`: a deadlocked scenario can be neither joined nor destroyed, and failing by timeout
+// beats hanging CI.
+void RunUnderWatchdog(std::chrono::seconds budget, const std::function<void()>& scenario) {
+  std::promise<void> finished;
+  std::future<void> done = finished.get_future();
+  std::thread body([&] {
+    scenario();
+    finished.set_value();
+  });
+  if (done.wait_for(budget) != std::future_status::ready) {
+    ADD_FAILURE() << "deadlock: scenario still blocked after " << budget.count() << " s";
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
+  body.join();
+}
+
+bool WaitUpTo10s(const std::function<bool()>& ready) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!ready()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+std::vector<Event> EventsInWindows(uint32_t first, uint32_t count, uint64_t seed) {
+  std::vector<Event> events;
+  for (uint32_t w = first; w < first + count; ++w) {
+    const std::vector<Event> part = WindowEvents(w, 16, seed + w);
+    events.insert(events.end(), part.begin(), part.end());
+  }
+  return events;
+}
+
+class RetireRingFull : public ::testing::Test {
+ protected:
+  RetireRingFull()
+      : config_(LabeledConfig()), dp_(config_), runner_(&dp_, pipeline_, CombinedRunner()) {}
+  // A scenario that failed while holding the combiner must not leave the workers parked in it.
+  ~RetireRingFull() override { combiner_.Release(); }
+
+  static DataPlaneConfig LabeledConfig() {
+    DataPlaneConfig cfg = StressConfig();
+    cfg.metric_labels = {{"suite", "retire_ring_full"}};
+    return cfg;
+  }
+  RunnerConfig CombinedRunner() {
+    RunnerConfig rc = StressRunnerConfig(2);
+    rc.combiner = &combiner_;
+    return rc;
+  }
+
+  // Opens and retires empty tickets until the ring has exactly one free slot.
+  void FillRing() {
+    while (dp_.open_tickets() < kRetireRingSlots - 1) {
+      dp_.RetireTicket(dp_.OpenTicket(0));
+    }
+  }
+
+  // Runs `submit` until it blocks on the full ring, releases the combiner, and requires
+  // `submit` to return.
+  void ReleaseWhileBlocked(const std::function<Status()>& submit) {
+    const obs::Counter* stalls = obs::MetricsRegistry::Global().GetCounter(
+        "sbt_ticket_ring_full_stalls_total", config_.metric_labels);
+    const uint64_t before = stalls->Value();
+    Status status = Internal("submit never returned");
+    std::thread submitter([&] { status = submit(); });
+    EXPECT_TRUE(WaitUpTo10s([&] { return stalls->Value() > before; })) << "ring never filled";
+    combiner_.Release();
+    submitter.join();
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+
+  void ExpectDrainedAndVerified(uint64_t windows) {
+    runner_.Drain();
+    EXPECT_EQ(runner_.stats().task_errors, 0u);
+    EXPECT_EQ(runner_.stats().windows_emitted, windows);
+    EXPECT_EQ(dp_.open_tickets(), 0u);
+    std::vector<AuditRecord> records;
+    const AuditUpload upload = dp_.FlushAudit(&records);
+    AuditChainVerifier chain(config_.mac_key);
+    EXPECT_TRUE(chain.Accept(upload).ok());
+    const VerifyReport report = CloudVerifier(pipeline_.ToVerifierSpec()).Verify(records);
+    EXPECT_TRUE(report.correct) << (report.violations.empty() ? "" : report.violations[0]);
+  }
+
+  const Pipeline pipeline_ = MakeDistinct(1000);
+  const DataPlaneConfig config_;
+  DataPlane dp_;
+  SubmitCombiner combiner_;
+  Runner runner_;
+};
+
+TEST_F(RetireRingFull, IngestWaitingForACloseDoesNotDeadlock) {
+  RunUnderWatchdog(std::chrono::seconds(60), [this] {
+    // Window 0's only chain waits in the held combiner; the watermark then gives window 0 its
+    // close ticket, right behind the chain's.
+    combiner_.Hold();
+    ASSERT_TRUE(runner_.IngestFrame(testing::AsBytes(EventsInWindows(0, 1, 1))).ok());
+    ASSERT_TRUE(WaitUpTo10s([this] { return combiner_.queued() == 1; }));
+    ASSERT_TRUE(runner_.AdvanceWatermark(1000).ok());
+    FillRing();
+    // The frame ticket takes the last slot, then four chain tickets open. The first waits for
+    // window 0's chain; once that chain retires, the third waits for window 0's close, which
+    // the chain's worker queues under the window lock.
+    const std::vector<Event> frame = EventsInWindows(1, 4, 2);
+    ReleaseWhileBlocked([&] { return runner_.IngestFrame(testing::AsBytes(frame)); });
+    ASSERT_TRUE(runner_.AdvanceWatermark(5000).ok());
+    ExpectDrainedAndVerified(5);
+  });
+}
+
+TEST_F(RetireRingFull, WatermarkWaitingForACloseDoesNotDeadlock) {
+  RunUnderWatchdog(std::chrono::seconds(60), [this] {
+    // Window 0's close chain waits in the held combiner, and so does window 1's chain; the
+    // close ticket is the oldest unretired one and retires only after sequenced egress.
+    ASSERT_TRUE(runner_.IngestFrame(testing::AsBytes(EventsInWindows(0, 1, 3))).ok());
+    runner_.Drain();
+    combiner_.Hold();
+    ASSERT_TRUE(runner_.AdvanceWatermark(1000).ok());
+    ASSERT_TRUE(WaitUpTo10s([this] { return combiner_.queued() == 1; }));
+    ASSERT_TRUE(runner_.IngestFrame(testing::AsBytes(EventsInWindows(1, 1, 4))).ok());
+    ASSERT_TRUE(WaitUpTo10s([this] { return combiner_.queued() == 2; }));
+    FillRing();
+    // The watermark's own ticket takes the last slot; window 1's close ticket then waits for
+    // window 0's close, whose worker egresses it under the completion-order lock.
+    ReleaseWhileBlocked([this] { return runner_.AdvanceWatermark(2000); });
+    ExpectDrainedAndVerified(2);
+  });
 }
 
 }  // namespace
