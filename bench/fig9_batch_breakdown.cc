@@ -5,14 +5,11 @@
 // world-switch overhead starts to dominate. The switch cost model is calibrated to OP-TEE's
 // software-dominated switch path (see src/tz/world_switch.h).
 //
-// Three series per batch size:
+// Two series per batch size:
 //   per-invoke — the paper's boundary: one world switch per primitive per segment
 //   fused      — command-buffer submission (src/core/cmd_buffer.h): one switch per chain
-//   combined   — flat-combining submission (src/core/submit_combiner.h) over fused chains
-//                at 4 workers: concurrently-ready chains share one switch per drained batch
 // The fused series flattens the small-batch cliff — fewer entries, more ops amortized per
-// entry — and the combined series flattens it further: at equal work its switch_entries must
-// come in strictly below fused, since every multi-chain drain merges entries fusing cannot.
+// entry.
 //
 // Emits BENCH_fig9.json (bench_util.h) with one row per (series, batch).
 
@@ -51,16 +48,10 @@ void RunFig9() {
   struct Series {
     const char* name;
     bool fused;
-    bool combine;
-    int workers;
   };
-  // The single-worker series pin combining off so they keep measuring the per-chain boundary
-  // alone; the combined series needs workers, since only concurrently-ready chains can share
-  // a switch.
   const Series series_list[] = {
-      {"per-invoke", /*fused=*/false, /*combine=*/false, /*workers=*/1},
-      {"fused", /*fused=*/true, /*combine=*/false, /*workers=*/1},
-      {"combined", /*fused=*/true, /*combine=*/true, /*workers=*/4},
+      {"per-invoke", /*fused=*/false},
+      {"fused", /*fused=*/true},
   };
 
   JsonBenchReport report("fig9");
@@ -68,12 +59,10 @@ void RunFig9() {
     for (const uint32_t batch : batch_sizes) {
       HarnessOptions opts;
       opts.version = EngineVersion::kSbtClearIngress;  // isolate the isolation cost itself
-      // Single worker avoids oversubscription distortion in cycle accounting on small hosts;
-      // the combined series accepts it — its point is the entry count, not the percentages.
-      opts.engine.knobs.worker_threads = s.workers;
+      // Single worker avoids oversubscription distortion in cycle accounting on small hosts.
+      opts.engine.knobs.worker_threads = 1;
       opts.engine.secure_pool_mb = 512;
       opts.engine.knobs.fuse_chains = s.fused;
-      opts.engine.knobs.combine_submissions = s.combine;
       opts.generator.batch_events = batch;
       opts.generator.num_windows = 2u * scale;
       opts.generator.workload.kind = WorkloadKind::kSynthetic;

@@ -13,6 +13,8 @@
 //   world_switch.fault          WorldSwitchGate entry is aborted and retried (extra entry burn)
 //   data_plane.checkpoint_stall DataPlane::Checkpoint spins between its refusal decision and
 //                               the seal (race-window widener for the admission-lock tests)
+//   runner.submit_stall         Runner::SubmitChain spins before the boundary (parks a
+//                               worker's chain or close stage for the retire-ring tests)
 //
 // Tests use testing::ScopedFailPoint (tests/testing/testing.h) for RAII arm/disarm.
 

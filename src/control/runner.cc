@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "src/common/failpoint.h"
 #include "src/common/logging.h"
 #include "src/core/checkpoint.h"
 #include "src/obs/trace.h"
@@ -36,16 +37,6 @@ Runner::Runner(DataPlane* data_plane, Pipeline pipeline, RunnerConfig config)
   if (!close_ids_reservable_ && config_.knobs.worker_threads > 1) {
     SBT_LOG(Error) << "window-close DAG contains a multi-output stage: close-stage audit ids "
                       "will be schedule-dependent at worker_threads > 1";
-  }
-  if (config_.knobs.combine_submissions) {
-    // Shared queue when the server wired one (cross-engine combining on a shard), otherwise a
-    // private queue: either way workers publish ready chains instead of submitting directly.
-    if (config_.combiner != nullptr) {
-      combiner_ = config_.combiner;
-    } else {
-      owned_combiner_ = std::make_unique<SubmitCombiner>();
-      combiner_ = owned_combiner_.get();
-    }
   }
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   m_queue_depth_ = reg.GetGauge("sbt_runner_queue_depth", config_.metric_labels);
@@ -143,16 +134,12 @@ void Runner::NoteError(const Status& status) {
   SBT_LOG(Error) << "runner task failed: " << status.ToString();
 }
 
-Result<SubmitResponse> Runner::SubmitChain(const CmdBuffer& buffer, ExecTicket* ticket,
-                                           bool retire_ticket) {
-  if (combiner_ != nullptr) {
-    return combiner_->Apply(dp_, buffer, ticket, retire_ticket);
+Result<SubmitResponse> Runner::SubmitChain(const CmdBuffer& buffer, ExecTicket* ticket) {
+  // Test hook: parks a worker's chain (or close stage) before the boundary for as long as the
+  // fail point stays armed, so a test can hold work back while it fills the retire ring.
+  while (SBT_FAIL_POINT("runner.submit_stall")) {
   }
-  auto resp = dp_->Submit(buffer, ticket);
-  if (retire_ticket && ticket != nullptr) {
-    dp_->RetireTicket(*ticket);
-  }
-  return resp;
+  return dp_->Submit(buffer, ticket);
 }
 
 Status Runner::IngestFrame(std::span<const uint8_t> frame, uint16_t stream,
@@ -260,17 +247,11 @@ void Runner::RunChain(ExecTicket ticket, uint32_t worker_lane, OpaqueRef ref,
   // contributions that DID arrive, and the verifier's replay flags the gap — attestation, not
   // silence, is how lost data surfaces.
   bool chain_ok = true;
-  bool ticket_retired = false;
   if (config_.knobs.fuse_chains && !chain.empty()) {
     // Fused: the compiled template stamps slot-chained commands over this segment's ref and
-    // the whole chain crosses the TEE boundary once — via the combining queue when combining
-    // is on, where a combiner may execute it (and its neighbors) under a single boundary
-    // crossing. The ticket retires inside SubmitChain, possibly on the combiner's thread, so
-    // the batch's records commit in ticket order without waking each submitter first; Release
-    // below writes no audit record, so the earlier retirement changes no bytes.
+    // the whole chain crosses the TEE boundary once.
     const CmdBuffer buffer = chain_template_.Stamp(ref, step_hint);
-    auto resp = SubmitChain(buffer, &ticket, /*retire_ticket=*/true);
-    ticket_retired = true;
+    auto resp = SubmitChain(buffer, &ticket);
     if (!resp.ok()) {
       NoteError(resp.status());
       chain_ok = false;
@@ -282,12 +263,11 @@ void Runner::RunChain(ExecTicket ticket, uint32_t worker_lane, OpaqueRef ref,
     }
   } else {
     for (size_t i = 0; i < chain.size(); ++i) {
-      // One-command buffer, exactly what Invoke stamps internally — so each unfused step can
-      // flow through the combining queue too. The ticket spans the whole chain and retires
-      // below, after the last step.
+      // One-command buffer, exactly what Invoke stamps internally. The ticket spans the whole
+      // chain and retires below, after the last step.
       CmdBuffer one;
       one.Push(CmdBuffer::Entry{chain[i].op, {cur}, chain[i].params, step_hint(i)});
-      auto resp = SubmitChain(one, &ticket, /*retire_ticket=*/false);
+      auto resp = SubmitChain(one, &ticket);
       if (!resp.ok()) {
         NoteError(resp.status());
         chain_ok = false;
@@ -305,9 +285,7 @@ void Runner::RunChain(ExecTicket ticket, uint32_t worker_lane, OpaqueRef ref,
     (void)dp_->Release(cur);
   }
   // The chain's staged records (its executed prefix, on failure) commit in program order.
-  if (!ticket_retired) {
-    dp_->RetireTicket(ticket);
-  }
+  dp_->RetireTicket(ticket);
 
   bool do_close = false;
   WindowState closing;
@@ -479,9 +457,8 @@ void Runner::CloseWindow(uint32_t window_index, WindowState state) {
       cmd_of[j] = static_cast<int>(buffer.size()) - 1;
     }
     if (!buffer.empty()) {
-      // The close ticket retires only in ProcessClose, after the sequenced egress — the
-      // combiner must not retire it, so retire_ticket stays off.
-      auto resp = SubmitChain(buffer, &state.close_ticket, /*retire_ticket=*/false);
+      // The close ticket retires only in ProcessClose, after the sequenced egress.
+      auto resp = SubmitChain(buffer, &state.close_ticket);
       if (!resp.ok()) {
         NoteError(resp.status());
         chain_ok = false;
@@ -507,7 +484,7 @@ void Runner::CloseWindow(uint32_t window_index, WindowState state) {
       }
       CmdBuffer one;
       one.Push(CmdBuffer::Entry{stages[j].op, std::move(inputs), stages[j].params, close_hint});
-      auto resp = SubmitChain(one, &state.close_ticket, /*retire_ticket=*/false);
+      auto resp = SubmitChain(one, &state.close_ticket);
       if (!resp.ok()) {
         NoteError(resp.status());
         chain_ok = false;

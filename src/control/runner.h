@@ -31,7 +31,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <thread>
@@ -39,29 +38,22 @@
 
 #include "src/control/pipeline.h"
 #include "src/core/data_plane.h"
-#include "src/core/submit_combiner.h"
+#include "src/core/exec_knobs.h"
 #include "src/obs/metrics.h"
 
 namespace sbt {
 
 struct RunnerConfig {
-  // Shared execution knobs (src/core/exec_knobs.h). The runner consumes worker_threads
-  // (workers executing per-batch chains and window-close chains, concurrently and out of
-  // order — egress and audit emission are sequenced, so every worker count produces the same
-  // audit chain, egress blobs, and verifier verdict), fuse_chains (per-batch chains and the
-  // window-close DAG go through DataPlane::Submit, one world switch per chain, instead of one
-  // Invoke per step), and combine_submissions (workers publish ready chains to a combining
-  // queue and one combiner executes the concurrent ready set under a single world-switch
-  // session; tests asserting exact per-chain entry counts turn this off).
+  // Execution knobs (src/core/exec_knobs.h): worker_threads (workers executing per-batch chains
+  // and window-close chains, concurrently and out of order — egress and audit emission are
+  // sequenced, so every worker count produces the same audit chain, egress blobs, and verifier
+  // verdict) and fuse_chains (per-batch chains and the window-close DAG go through one
+  // DataPlane::Submit each, one world switch per chain, instead of one command per step).
   ExecutionKnobs knobs;
   IngestPath ingest_path = IngestPath::kTrustedIo;
   bool use_hints = true;
   // Backpressure: stall ingestion while the data plane reports high pool utilization.
   bool block_on_backpressure = true;
-  // Optional shared combining queue: the EdgeServer wires one per shard so co-located tenant
-  // engines combine across engines. Null -> the runner owns a private queue when combining is
-  // on. The pointee must outlive the runner.
-  SubmitCombiner* combiner = nullptr;
   // Label set stamped onto this runner's registry instruments (the server sets tenant/shard;
   // harnesses leave it empty for unlabeled process-wide series). Worker-task counters add a
   // per-worker "worker" label on top.
@@ -205,18 +197,13 @@ class Runner {
   HintRequest LaneHint(uint32_t lane) const {
     return config_.use_hints ? HintRequest::Parallel(lane) : HintRequest::None();
   }
-  // Boundary submission for one chain buffer: through the combining queue when combining is
-  // on, direct DataPlane::Submit otherwise. With retire_ticket the ticket is retired (by the
-  // combiner on our behalf, or here) before this returns.
-  Result<SubmitResponse> SubmitChain(const CmdBuffer& buffer, ExecTicket* ticket,
-                                     bool retire_ticket);
+  // Boundary submission for one chain buffer: a direct DataPlane::Submit under the chain's
+  // ticket, which the caller retires. Hosts the runner.submit_stall test hook.
+  Result<SubmitResponse> SubmitChain(const CmdBuffer& buffer, ExecTicket* ticket);
 
   DataPlane* dp_;
   Pipeline pipeline_;
   RunnerConfig config_;
-  // Active combining queue (shared or owned); null when combine_submissions is off.
-  SubmitCombiner* combiner_ = nullptr;
-  std::unique_ptr<SubmitCombiner> owned_combiner_;
   // The per-batch chain, compiled once at construction and stamped into a CmdBuffer per
   // segment (fused mode).
   CmdChainTemplate chain_template_;

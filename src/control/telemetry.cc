@@ -50,8 +50,6 @@ void AppendEngineTelemetry(const EngineTelemetry& t, const obs::MetricLabels& la
   c("sbt_switch_faults_total", t.world_switch.faults);
   c("sbt_switch_annotated_ops_total", t.world_switch.annotated_ops);
   c("sbt_switch_session_cycles_total", t.world_switch.session_cycles);
-  c("sbt_switch_combined_entries_total", t.world_switch.combined_entries);
-  c("sbt_switch_combined_chains_total", t.world_switch.combined_chains);
 
   // DataPlaneCycleStats
   c("sbt_invoke_cycles_total", t.cycles.invoke_cycles);

@@ -9,25 +9,6 @@ OpaqueRef CmdBuffer::Push(Entry entry) {
   return MakeSlotRef(static_cast<uint32_t>(entries_.size() - 1));
 }
 
-Status CmdBuffer::Validate() const {
-  if (entries_.empty()) {
-    return InvalidArgument("empty command buffer");
-  }
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    const Entry& entry = entries_[i];
-    for (const OpaqueRef ref : entry.inputs) {
-      if (IsSlotRef(ref) && SlotRefCommand(ref) >= i) {
-        return InvalidArgument("forward-pointing slot reference in command buffer");
-      }
-    }
-    if (entry.hint.kind == HintRequest::Kind::kAfter && IsSlotRef(entry.hint.after) &&
-        SlotRefCommand(entry.hint.after) >= i) {
-      return InvalidArgument("forward-pointing slot reference in placement hint");
-    }
-  }
-  return OkStatus();
-}
-
 void CmdChainTemplate::Append(PrimitiveOp op, const InvokeParams& params) {
   steps_.push_back(Step{op, params});
 }

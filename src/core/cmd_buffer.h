@@ -6,8 +6,7 @@
 // that name an earlier command's output without ever materializing a table reference — and
 // `DataPlane::Submit` executes all of it under ONE WorldSwitchGate session, emitting one audit
 // record per command so the cloud verifier's symbolic replay is byte-identical to the unfused
-// stream. The shape follows the combining idiom (DSMSynch-style: one acquisition applies a
-// queue of operations), transplanted to the normal/secure boundary.
+// stream.
 //
 // The buffer itself is plain normal-world state: it holds only opaque refs, slot refs, and
 // parameters. All validation (backward-pointing slots, liveness, forged refs) happens at the
@@ -20,7 +19,6 @@
 #include <functional>
 #include <vector>
 
-#include "src/common/status.h"
 #include "src/core/opaque_ref.h"
 #include "src/primitives/registry.h"
 
@@ -83,13 +81,6 @@ class CmdBuffer {
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
   void Clear() { entries_.clear(); }
-
-  // Normal-world shape check: non-empty, and every slot-ref input or hint points strictly
-  // backward to an earlier command. The flat combiner runs this before a chain joins a
-  // combined batch, so a malformed chain bounces to its submitter without costing the batch a
-  // shared boundary crossing. Liveness and forgery checks still happen inside Submit — only
-  // the secure world can decide those.
-  Status Validate() const;
 
  private:
   std::vector<Entry> entries_;

@@ -39,7 +39,6 @@
 #include "src/common/time.h"
 #include "src/core/checkpoint.h"
 #include "src/core/cmd_buffer.h"
-#include "src/core/exec_knobs.h"
 #include "src/core/opaque_ref.h"
 #include "src/crypto/aes128.h"
 #include "src/crypto/sha256.h"
@@ -81,12 +80,6 @@ struct DataPlaneConfig {
   // uploads (the worker-count equivalence property tests compare whole uploads, MACs included).
   // Freshness delays are meaningless in this mode; never enable it in a deployment.
   bool logical_audit_timestamps = false;
-
-  // Shared execution knobs (src/core/exec_knobs.h). The data plane consumes only
-  // knobs.lockfree_retire — the ring vs. legacy reorder buffer; both produce byte-identical
-  // audit streams (property-tested). The rest ride along so one struct propagates top to
-  // bottom unchanged.
-  ExecutionKnobs knobs;
 
   // Who this plane is, for seals, reports, and replication frames. The chain-position fields
   // are ignored here — they are stamped at seal time. Standalone harnesses leave it zeroed.
@@ -208,25 +201,6 @@ class DataPlane {
   // for ticket-ordered commit and outputs draw from the ticket's reserved ids.
   Result<InvokeResponse> Invoke(const InvokeRequest& request, ExecTicket* ticket = nullptr);
 
-  // One submitter's chain in a flat-combining batch (src/core/submit_combiner.h). The combiner
-  // fills `result`; when `retire_ticket` is set the ticket is retired on the submitter's behalf
-  // right after the chain executes, so audit commit order is the same as if the submitter had
-  // run the uncombined Submit + RetireTicket sequence itself.
-  struct CombinedChain {
-    const CmdBuffer* buffer = nullptr;
-    ExecTicket* ticket = nullptr;
-    bool retire_ticket = false;
-    Result<SubmitResponse> result = Status(StatusCode::kInternal, "combined chain not executed");
-  };
-
-  // Executes a batch of chains under ONE world-switch session — the cross-chain extension of
-  // the fused Submit boundary. Chains run in the order given (the combiner orders them by
-  // ticket seq). Each chain keeps Submit's semantics exactly: its own staged audit records, its
-  // ticket's reserved id range, and failure isolation — a failed chain reports through its own
-  // result and cannot poison batch-mates. Batches of >= 2 chains are counted in
-  // WorldSwitchStats::combined_entries / combined_chains.
-  void ExecuteCombinedBatch(std::span<CombinedChain* const> batch);
-
   // Fused entry: executes a whole command chain under ONE world-switch session, one audit
   // record per command (byte-identical replay vs. the equivalent Invoke-per-step stream).
   // Intra-chain dataflow uses slot refs; intermediates consumed inside the chain are retired
@@ -324,8 +298,6 @@ class DataPlane {
                ? adaptive_threshold_.load(std::memory_order_relaxed)
                : config_.backpressure_threshold;
   }
-  // The construction-time config (knob-observation tests read knobs through this).
-  const DataPlaneConfig& config() const { return config_; }
   SecureMemoryStats memory_stats() const { return world_.stats(); }
   WorldSwitchStats switch_stats() const { return gate_.stats(); }
   DataPlaneCycleStats cycle_stats() const;
@@ -351,10 +323,6 @@ class DataPlane {
   // Boundary hardening shared by Invoke and Submit: validates a table ref (slot-tagged and
   // forged refs rejected) and maps it to its live array.
   Result<ResolvedInput> ResolveTableInput(OpaqueRef ref);
-  // The chain body shared by Submit and ExecuteCombinedBatch: executes one command chain under
-  // the caller's already-open session. The caller holds a boundary admission slot.
-  Result<SubmitResponse> SubmitUnderSession(const CmdBuffer& buffer, ExecTicket* ticket,
-                                            WorldSwitchGate::Session& session);
   // Executes one primitive over already-resolved inputs, filling the audit record's input/
   // output ids. Registration of outputs as table refs is the caller's concern: Invoke
   // registers everything, Submit only what survives the chain.
@@ -397,7 +365,7 @@ class DataPlane {
   Sha256Digest chain_head_{};     // guarded by audit_mu_; zeros until the first upload
   uint64_t logical_ts_ = 0;       // guarded by audit_mu_ (logical_audit_timestamps mode)
 
-  // --- Ticket reorder buffer, lock-free ring implementation (config_.lockfree_retire) ---
+  // --- Ticket reorder buffer: a lock-free ring ---
   //
   // A bounded ring indexed by ticket seq: ticket s lives in slot s % kRingSlots. Each slot
   // carries a tag word encoding (seq << kPhaseBits) | phase; the phase walks
@@ -432,20 +400,7 @@ class DataPlane {
   std::atomic<uint64_t> commit_next_seq_{0};  // stored only by the elected committer
   std::atomic<bool> commit_lock_{false};
   // Frontier-commit election + batch drain; called after a slot flips to kRetired.
-  void CommitFrontierLockfree();
-
-  // --- Legacy locked reorder buffer (config_.lockfree_retire == false) ---
-  // Staged record batches keyed by ticket seq, committed in seq order as tickets retire.
-  // Lock order: seq_mu_ before audit_mu_, never the reverse.
-  struct StagedTicket {
-    std::vector<AuditRecord> records;
-    bool retired = false;
-    uint64_t open_cycles = 0;  // ReadCycleCounter() at OpenTicket, for open->retire latency
-  };
-  mutable std::mutex seq_mu_;
-  std::map<uint64_t, StagedTicket> staged_;  // guarded by seq_mu_; next/commit seq are the
-                                             // atomics above (locked path mutates them under
-                                             // seq_mu_ with relaxed ordering)
+  void CommitFrontier();
 
   std::atomic<uint64_t> invoke_cycles_{0};
   std::atomic<uint64_t> memmgmt_cycles_{0};
@@ -453,12 +408,12 @@ class DataPlane {
   std::atomic<uint64_t> audit_records_{0};
   std::atomic<uint64_t> egress_ctr_offset_{0};
 
-  // Boundary admission: every state-mutating boundary op (Invoke/Submit chain, combined batch,
-  // ingest, egress, release, audit flush) increments inflight_chains_ while holding this mutex
-  // for the increment. Checkpoint takes the refusal decision AND performs the whole seal under
-  // it, so "no chain is inside the TEE" cannot go stale between the check and the seal — in
-  // particular a combiner cannot admit a batch into that window. Ordering: admission_mu_ is
-  // outermost (it is only ever held alone, or by Checkpoint which then takes seq_mu_/audit_mu_).
+  // Boundary admission: every state-mutating boundary op (Invoke/Submit chain, ingest, egress,
+  // release, audit flush) increments inflight_chains_ while holding this mutex for the
+  // increment. Checkpoint takes the refusal decision AND performs the whole seal under it, so
+  // "no chain is inside the TEE" cannot go stale between the check and the seal — no chain can
+  // be admitted into that window. Ordering: admission_mu_ is outermost (it is only ever held
+  // alone, or by Checkpoint which then takes audit_mu_).
   mutable std::mutex admission_mu_;
   std::atomic<int> inflight_chains_{0};
 
@@ -488,7 +443,7 @@ class DataPlane {
   bool has_seal_base_ = false;
   uint64_t seal_base_seq_ = 0;     // chain position of the previous seal
   Sha256Digest seal_base_head_{};
-  // Serial-section attribution for the lock-free retire path (fig7 reads these).
+  // Serial-section attribution for the retire ring (fig7 reads these).
   obs::Histogram* m_commit_stall_cycles_;     // cycles inside a frontier-commit drain
   obs::Histogram* m_commit_batch_tickets_;    // tickets committed per frontier drain
   obs::Counter* m_ring_full_stalls_;          // OpenTicket waits for its slot's previous lap

@@ -1,12 +1,9 @@
-// The execution knobs shared by every layer of an engine.
+// The execution knobs of an engine's control plane.
 //
-// worker_threads / fuse_chains / combine_submissions / lockfree_retire used to live as loose
-// fields duplicated across EngineOptions, RunnerConfig, and DataPlaneConfig with hand-copied
-// propagation — a knob set at the top could silently fail to reach the bottom. They now live
-// here once; each layer's config embeds the struct, and the single propagation point is
-// ApplyExecutionKnobs (src/control/lifecycle.h). Every knob is byte-neutral: any setting yields
-// the same audit chain, egress blobs, and verifier verdict (property-tested in
-// tests/property_test.cc); they trade only performance.
+// Declared once and embedded in EngineOptions and RunnerConfig, so a knob set at the top
+// reaches the Runner — the only layer that reads them — unchanged. Every knob is byte-neutral:
+// any setting yields the same audit chain, egress blobs, and verifier verdict (property-tested
+// in tests/property_test.cc); they trade only performance.
 
 #ifndef SRC_CORE_EXEC_KNOBS_H_
 #define SRC_CORE_EXEC_KNOBS_H_
@@ -14,17 +11,11 @@
 namespace sbt {
 
 struct ExecutionKnobs {
-  // Intra-engine worker threads (elastic pipeline parallelism). Consumed by the Runner.
+  // Intra-engine worker threads (elastic pipeline parallelism).
   int worker_threads = 4;
   // Command-buffer fusion: one world switch per primitive chain (default). Off reproduces the
-  // call-per-primitive boundary for the fig9 comparison series. Consumed by the Runner.
+  // call-per-primitive boundary for the fig9 comparison series.
   bool fuse_chains = true;
-  // Flat-combining submission: concurrently ready chains share one world switch (default). Off
-  // reproduces the one-entry-per-chain boundary. Consumed by the Runner.
-  bool combine_submissions = true;
-  // Lock-free ticket retire (default). Off selects the legacy mutex-guarded reorder buffer.
-  // Consumed by the DataPlane.
-  bool lockfree_retire = true;
 };
 
 }  // namespace sbt

@@ -5,7 +5,7 @@
 // ticket satisfies `seq % sample_every == 0` are recorded into the calling thread's ring —
 // a fixed-capacity buffer that overwrites its oldest entries, so after a failure the rings
 // hold the *most recent* window of activity (flight-recorder semantics, never unbounded
-// growth). Ticketless events (combiner drains, checkpoints, watermarks) use ticket 0, which
+// growth). Ticketless events (checkpoints, unticketed boundary calls) use ticket 0, which
 // every sampling rate accepts, so structural events are always present in an enabled trace.
 //
 // Each ring is guarded by its own mutex with exactly one writer (its thread), so recording

@@ -144,9 +144,6 @@ EdgeServer::EdgeServer(EdgeServerConfig config, TenantRegistry registry)
     shard->slice_bytes = shard_partition_bytes_;
     shard->queue = std::make_unique<BoundedChannel<RoutedFrame>>(config_.shard_queue_frames);
     AttachQueueGauge(*shard);
-    if (config_.combine_submissions && config_.cross_engine_combining) {
-      shard->combiner = std::make_unique<SubmitCombiner>();
-    }
     shards_.push_back(std::move(shard));
   }
 }
@@ -195,7 +192,6 @@ ReplicaSession::Options EdgeServer::ReplicaOptions() const {
   ReplicaSession::Options opts;
   opts.switch_cost = config_.switch_cost;
   opts.logical_audit_timestamps = config_.logical_audit_timestamps;
-  opts.knobs.combine_submissions = config_.combine_submissions;
   return opts;
 }
 
@@ -222,23 +218,16 @@ Result<EdgeServer::Engine*> EdgeServer::CreateEngine(Shard& shard, const TenantS
   // here with its new shard label; the old series simply stops moving.
   const obs::MetricLabels labels = EngineMetricLabels(spec.name, shard.index);
 
-  // One knob set drives both layers through the one propagation point; the data-plane config
-  // itself comes from the shared recipe every construction site uses.
-  ExecutionKnobs knobs;
-  knobs.worker_threads = workers;
-  knobs.combine_submissions = config_.combine_submissions;
+  // The data-plane config comes from the shared recipe every construction site uses.
   const DataPlaneConfig dp_cfg = MakeEngineDataPlaneConfig(
-      spec, identity, knobs, config_.switch_cost, config_.logical_audit_timestamps, labels);
+      spec, identity, config_.switch_cost, config_.logical_audit_timestamps, labels);
 
   RunnerConfig rc;
-  ApplyExecutionKnobs(knobs, nullptr, &rc);
+  rc.knobs.worker_threads = workers;
   rc.metric_labels = labels;
   rc.ingest_path = IngestPath::kTrustedIo;
   // kShed tenants drop at the data-plane door instead of blocking inside IngestFrame.
   rc.block_on_backpressure = spec.admission == AdmissionPolicy::kStall;
-  // With cross-engine combining the shard's co-resident engines share one queue (one session
-  // per engine per drained batch); otherwise each runner owns a private queue.
-  rc.combiner = shard.combiner.get();
 
   auto owned = std::make_unique<Engine>();
   owned->engine_id = identity.engine_id;
@@ -736,15 +725,11 @@ Status EdgeServer::AdoptEngine(Shard& shard, ReplicaSession::PromotedEngine pe) 
     workers = std::max(1, std::min(workers, remaining));
   }
   const obs::MetricLabels labels = EngineMetricLabels(spec->name, shard.index);
-  ExecutionKnobs knobs;
-  knobs.worker_threads = workers;
-  knobs.combine_submissions = config_.combine_submissions;
   RunnerConfig rc;
-  ApplyExecutionKnobs(knobs, nullptr, &rc);
+  rc.knobs.worker_threads = workers;
   rc.metric_labels = labels;
   rc.ingest_path = IngestPath::kTrustedIo;
   rc.block_on_backpressure = spec->admission == AdmissionPolicy::kStall;
-  rc.combiner = shard.combiner.get();
 
   auto owned = std::make_unique<Engine>();
   owned->engine_id = pe.identity.engine_id;
@@ -971,9 +956,6 @@ Status EdgeServer::Resize(uint32_t new_num_shards) {
     shard->slice_bytes = new_slice;
     shard->queue = std::make_unique<BoundedChannel<RoutedFrame>>(config_.shard_queue_frames);
     AttachQueueGauge(*shard);
-    if (config_.combine_submissions && config_.cross_engine_combining) {
-      shard->combiner = std::make_unique<SubmitCombiner>();
-    }
     shards_.push_back(std::move(shard));
   }
   // One ReplicaSession re-verifies every moved engine's full chain (re-sharding is as

@@ -126,13 +126,6 @@ struct EdgeServerConfig {
   size_t shard_queue_frames = 64;   // bounded ingest queue per shard (the backpressure signal)
   WorldSwitchConfig switch_cost = WorldSwitchConfig::Disabled();
   bool verify_audit_on_shutdown = true;
-  // Flat-combining submission inside every engine (see src/control/runner.h). Off reproduces
-  // the one-world-switch-per-chain boundary; bytes are identical either way.
-  bool combine_submissions = true;
-  // Opt-in: co-resident tenant engines on a shard share one combining queue, so chains that
-  // are ready concurrently across tenants combine too (one session per engine per drained
-  // batch — tenants never share a gate, audit log, or keys). Requires combine_submissions.
-  bool cross_engine_combining = false;
   // Audit records carry a logical per-engine counter instead of wall-clock timestamps, making
   // two runs over the same per-source streams byte-identical (DataPlaneConfig has the same
   // knob; this plumbs it to every engine). The network-vs-in-process equivalence tests
@@ -281,7 +274,7 @@ class EdgeServer {
   ShardSnapshot shard_snapshot(uint32_t shard) const;
 
   // On-demand scrape of the process-wide metrics registry (every live instrument: engine
-  // counters, gauges the dispatchers sample, combiner/ticket/world-switch series), rendered
+  // counters, gauges the dispatchers sample, ticket/world-switch series), rendered
   // as Prometheus text or JSON. Safe to call from any thread while the server runs.
   std::string ScrapeMetrics(bool json = false) const;
 
@@ -329,9 +322,6 @@ class EdgeServer {
     size_t slice_bytes = 0;
     size_t carved_bytes = 0;
     std::unique_ptr<BoundedChannel<RoutedFrame>> queue;
-    // Shared combining queue for cross-engine combining (null unless opted in). Declared
-    // before `engines`: runners park worker threads in it, so it must be destroyed after them.
-    std::unique_ptr<SubmitCombiner> combiner;
     std::vector<std::unique_ptr<Engine>> engines;
     // (tenant << 32 | source) -> resident engine, the dispatcher's routing table.
     std::map<uint64_t, Engine*> by_source;

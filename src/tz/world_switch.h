@@ -58,10 +58,6 @@ struct WorldSwitchStats {
   // Total in-TEE residency cycles observed through sessions: every annotated segment plus the
   // residual tail a session settles when it ends (destruction or being move-assigned over).
   uint64_t session_cycles = 0;
-  // Flat combining (SubmitCombiner): entries whose single session executed more than one
-  // submitted chain, and how many chains those multi-chain entries carried in total.
-  uint64_t combined_entries = 0;
-  uint64_t combined_chains = 0;
 
   double ops_per_entry() const {
     return entries == 0 ? 0.0 : static_cast<double>(annotated_ops) / static_cast<double>(entries);
@@ -137,17 +133,6 @@ class WorldSwitchGate {
 
   Session Enter() { return Session(this); }
 
-  // Records a flat-combining batch executed under one open session: `chains` submitted chains
-  // crossed the boundary in a single entry. A batch of one is the degenerate (uncombined)
-  // case and is not counted as combined.
-  void NoteCombinedBatch(uint64_t chains) {
-    if (chains < 2) {
-      return;
-    }
-    combined_entries_.fetch_add(1, std::memory_order_relaxed);
-    combined_chains_.fetch_add(chains, std::memory_order_relaxed);
-  }
-
   WorldSwitchStats stats() const {
     WorldSwitchStats s;
     s.entries = entries_.load(std::memory_order_relaxed);
@@ -155,8 +140,6 @@ class WorldSwitchGate {
     s.faults = faults_.load(std::memory_order_relaxed);
     s.annotated_ops = ops_.load(std::memory_order_relaxed);
     s.session_cycles = session_cycles_.load(std::memory_order_relaxed);
-    s.combined_entries = combined_entries_.load(std::memory_order_relaxed);
-    s.combined_chains = combined_chains_.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -172,8 +155,6 @@ class WorldSwitchGate {
     faults_.store(0, std::memory_order_relaxed);
     ops_.store(0, std::memory_order_relaxed);
     session_cycles_.store(0, std::memory_order_relaxed);
-    combined_entries_.store(0, std::memory_order_relaxed);
-    combined_chains_.store(0, std::memory_order_relaxed);
     for (auto& c : op_cycles_) {
       c.store(0, std::memory_order_relaxed);
     }
@@ -227,8 +208,6 @@ class WorldSwitchGate {
   std::atomic<uint64_t> faults_{0};
   std::atomic<uint64_t> ops_{0};
   std::atomic<uint64_t> session_cycles_{0};
-  std::atomic<uint64_t> combined_entries_{0};
-  std::atomic<uint64_t> combined_chains_{0};
   std::array<std::atomic<uint64_t>, kOpCycleSlots> op_cycles_{};
 };
 

@@ -3,16 +3,13 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstring>
 #include <map>
-#include <thread>
 #include <vector>
 
 #include "src/control/benchmarks.h"
 #include "src/control/harness.h"
 #include "src/control/lifecycle.h"
-#include "src/core/submit_combiner.h"
 #include "src/net/workloads.h"
 #include "tests/testing/testing.h"
 
@@ -386,65 +383,6 @@ TEST(ControlTest, FusedChainsCrossTheBoundaryOncePerSegment) {
   EXPECT_EQ(unfused - fused, 3u) << "a 4-primitive chain must pay 1 switch, not 4";
 }
 
-TEST(ControlTest, ConcurrentlyReadyChainsCombineIntoOneGateEntry) {
-  // The combining invariant, pinned deterministically: N chains ready at the same instant on
-  // one engine cross the boundary as exactly ONE world switch. Hold() keeps every submitter
-  // announced-but-waiting until the full ready set is queued; Release() lets one of them drain
-  // it all as a single batch under a single session.
-  constexpr int kChains = 4;
-  DataPlane dp(testing::SmallDataPlaneConfig(/*decrypt_ingress=*/false));
-  const auto events = testing::ConstantEvents(64);
-
-  std::vector<OpaqueRef> heads;
-  for (int i = 0; i < kChains; ++i) {
-    auto info =
-        dp.IngestBatch(testing::AsBytes(events), sizeof(Event), 0, IngestPath::kTrustedIo);
-    ASSERT_TRUE(info.ok());
-    heads.push_back(info->ref);
-  }
-
-  SubmitCombiner combiner;
-  combiner.Hold();
-  std::vector<ExecTicket> tickets;
-  std::vector<CmdBuffer> buffers(kChains);
-  for (int i = 0; i < kChains; ++i) {
-    tickets.push_back(dp.OpenTicket(1));
-    buffers[i].Push(
-        CmdBuffer::Entry{PrimitiveOp::kProject, {heads[i]}, {}, HintRequest::None()});
-  }
-
-  const uint64_t entries_before = dp.switch_stats().entries;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> submitters;
-  for (int i = 0; i < kChains; ++i) {
-    submitters.emplace_back([&, i] {
-      auto resp = combiner.Apply(&dp, buffers[i], &tickets[i], /*retire_ticket=*/true);
-      if (!resp.ok() || resp->outputs[0].empty() || resp->outputs[0][0].ref == 0) {
-        failures.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  while (combiner.queued() < kChains) {
-    std::this_thread::yield();
-  }
-  combiner.Release();
-  for (std::thread& t : submitters) {
-    t.join();
-  }
-
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(dp.switch_stats().entries - entries_before, 1u)
-      << kChains << " concurrently-ready chains must share one world switch";
-  EXPECT_EQ(dp.switch_stats().combined_entries, 1u);
-  EXPECT_EQ(dp.switch_stats().combined_chains, static_cast<uint64_t>(kChains));
-  const SubmitCombiner::Stats cs = combiner.stats();
-  EXPECT_EQ(cs.batches, 1u);
-  EXPECT_EQ(cs.combined_batches, 1u);
-  EXPECT_EQ(cs.chains, static_cast<uint64_t>(kChains));
-  EXPECT_EQ(cs.max_batch, static_cast<uint64_t>(kChains));
-  EXPECT_EQ(dp.open_tickets(), 0u) << "the combiner retires tickets on submitters' behalf";
-}
-
 class ChainFailureTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(ChainFailureTest, FailedChainDoesNotWedgeItsWindow) {
@@ -491,37 +429,25 @@ TEST(ControlTest, PipelineExportsMatchingVerifierSpec) {
   EXPECT_EQ(spec.per_window_stages[2].op, PrimitiveOp::kCount);
 }
 
-// The shared execution knobs are declared once (src/core/exec_knobs.h) and flow through one
-// propagation point (ApplyExecutionKnobs): a knob set at the very top — EngineOptions — is
-// observable at the very bottom, on the live DataPlane's and Runner's own configs, with no
+// The execution knobs are declared once (src/core/exec_knobs.h): a knob set at the very top —
+// EngineOptions — is observable at the bottom, on the live Runner's own config, with no
 // hand-copied per-layer field anywhere on the way down.
 TEST(ControlTest, ExecutionKnobsSetAtTheTopAreObservedAtTheBottom) {
   EngineOptions opts;
   opts.secure_pool_mb = 8;
   opts.knobs.worker_threads = 3;
   opts.knobs.fuse_chains = false;
-  opts.knobs.combine_submissions = false;
-  opts.knobs.lockfree_retire = false;
 
-  const DataPlaneConfig dp_cfg = MakeEngineConfig(EngineVersion::kSbtClearIngress, opts);
-  const RunnerConfig rc = MakeRunnerConfig(EngineVersion::kSbtClearIngress, opts);
-  DataPlane dp(dp_cfg);
-  Runner runner(&dp, MakeWinSum(1000), rc);
-
-  EXPECT_EQ(dp.config().knobs.worker_threads, 3);
-  EXPECT_FALSE(dp.config().knobs.fuse_chains);
-  EXPECT_FALSE(dp.config().knobs.combine_submissions);
-  EXPECT_FALSE(dp.config().knobs.lockfree_retire);
+  DataPlane dp(MakeEngineConfig(EngineVersion::kSbtClearIngress, opts));
+  Runner runner(&dp, MakeWinSum(1000), MakeRunnerConfig(EngineVersion::kSbtClearIngress, opts));
   EXPECT_EQ(runner.config().knobs.worker_threads, 3);
   EXPECT_FALSE(runner.config().knobs.fuse_chains);
-  EXPECT_FALSE(runner.config().knobs.combine_submissions);
-  EXPECT_FALSE(runner.config().knobs.lockfree_retire);
 
-  // Flipping one knob at the top reaches both layers; the others are untouched.
-  opts.knobs.lockfree_retire = true;
-  EXPECT_TRUE(MakeEngineConfig(EngineVersion::kSbtClearIngress, opts).knobs.lockfree_retire);
-  EXPECT_TRUE(MakeRunnerConfig(EngineVersion::kSbtClearIngress, opts).knobs.lockfree_retire);
-  EXPECT_FALSE(MakeRunnerConfig(EngineVersion::kSbtClearIngress, opts).knobs.fuse_chains);
+  // Flipping one knob at the top reaches the runner; the other is untouched.
+  opts.knobs.fuse_chains = true;
+  const RunnerConfig flipped = MakeRunnerConfig(EngineVersion::kSbtClearIngress, opts);
+  EXPECT_TRUE(flipped.knobs.fuse_chains);
+  EXPECT_EQ(flipped.knobs.worker_threads, 3);
   runner.Drain();
 }
 

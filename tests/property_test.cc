@@ -549,10 +549,7 @@ struct WorkerSessionArtifacts {
 };
 
 WorkerSessionArtifacts RunWorkerSession(const Pipeline& pipeline, WorkloadKind kind,
-                                        int worker_threads, bool fuse_chains = true,
-                                        bool combine_submissions = true,
-                                        bool lockfree_retire = true,
-                                        bool drain_per_frame = false) {
+                                        int worker_threads, bool fuse_chains = true) {
   HarnessOptions opts;
   opts.version = EngineVersion::kSbtClearIngress;
   opts.engine.secure_pool_mb = 64;
@@ -563,30 +560,22 @@ WorkerSessionArtifacts RunWorkerSession(const Pipeline& pipeline, WorkloadKind k
 
   DataPlaneConfig cfg = MakeEngineConfig(opts.version, opts.engine);
   cfg.logical_audit_timestamps = true;
-  cfg.knobs.lockfree_retire = lockfree_retire;
   DataPlane dp(cfg);
   WorkerSessionArtifacts out;
   {
     RunnerConfig rc;
     rc.knobs.worker_threads = worker_threads;
     rc.knobs.fuse_chains = fuse_chains;
-    rc.knobs.combine_submissions = combine_submissions;
     Runner runner(&dp, pipeline, rc);
     Generator gen(opts.generator);
     while (auto frame = gen.NextFrame()) {
       if (frame->is_watermark) {
         EXPECT_TRUE(runner.AdvanceWatermark(frame->watermark).ok());
       } else if (!runner.IngestFrame(frame->bytes, 0, frame->ctr_offset).ok()) {
-        // Only the fault-injection properties may get here (counted and compared there);
-        // everywhere else ExpectWorkerCountInvariant asserts zero.
-        ++out.ingest_failures;
+        ++out.ingest_failures;  // ExpectWorkerCountInvariant asserts zero
       }
-      // NO drain by default: this is the schedule-independence property, not a pinned
-      // schedule. The fault-injection properties drain per frame to pin the schedule so a
-      // seeded fault stream hits both runs at identical points.
-      if (drain_per_frame) {
-        runner.Drain();
-      }
+      // NO drain per frame: this is the schedule-independence property, not a pinned
+      // schedule.
     }
     runner.Drain();
     out.results = runner.TakeResults();
@@ -598,8 +587,7 @@ WorkerSessionArtifacts RunWorkerSession(const Pipeline& pipeline, WorkloadKind k
 }
 
 // Byte-compares everything externally visible — egress blobs, the audit chain (records, raw
-// encoding, compressed blob, MAC, chain position), and the replay verdict shape — WITHOUT
-// assuming the sessions were fault-free. The fault-equivalence properties use this directly.
+// encoding, compressed blob, MAC, chain position), and the replay verdict shape.
 void ExpectSameExternalArtifacts(const WorkerSessionArtifacts& a,
                                  const WorkerSessionArtifacts& b) {
   // Results arrive in watermark order from the completion stage: compare positionally.
@@ -708,133 +696,14 @@ TEST(WorkerEquivalence, HoldsUnderInjectedWorldSwitchFaults) {
   ExpectWorkerCountInvariant(one, RunWorkerSession(p, WorkloadKind::kTaxi, 8));
 }
 
-TEST(WorkerEquivalence, FlatCombiningOnVsOffIsByteIdentical) {
-  // Flat combining re-times world switches (one session drains a whole ready set, possibly on
-  // another worker's thread) but must not re-order anything externally visible: audit ids come
-  // from ticket reservations, records commit in ticket order, and hints are fixed at
-  // submission. Combining on/off — at several worker counts — is therefore byte-identical.
-  const Pipeline p = MakeDistinct(1000);
-  const WorkerSessionArtifacts off =
-      RunWorkerSession(p, WorkloadKind::kTaxi, 4, /*fuse_chains=*/true,
-                       /*combine_submissions=*/false);
-  ExpectWorkerCountInvariant(off, RunWorkerSession(p, WorkloadKind::kTaxi, 2,
-                                                   /*fuse_chains=*/true,
-                                                   /*combine_submissions=*/true));
-  ExpectWorkerCountInvariant(off, RunWorkerSession(p, WorkloadKind::kTaxi, 4,
-                                                   /*fuse_chains=*/true,
-                                                   /*combine_submissions=*/true));
-  ExpectWorkerCountInvariant(off, RunWorkerSession(p, WorkloadKind::kTaxi, 8,
-                                                   /*fuse_chains=*/true,
-                                                   /*combine_submissions=*/true));
-}
-
-TEST(WorkerEquivalence, FlatCombiningOnVsOffUnfusedBoundary) {
-  // Combining also fronts the call-per-primitive boundary (each step is a one-command chain on
-  // the combining queue, still under the chain's ticket); same invariant.
-  const Pipeline p = MakeDistinct(1000);
-  ExpectWorkerCountInvariant(
-      RunWorkerSession(p, WorkloadKind::kTaxi, 4, /*fuse_chains=*/false,
-                       /*combine_submissions=*/false),
-      RunWorkerSession(p, WorkloadKind::kTaxi, 4, /*fuse_chains=*/false,
-                       /*combine_submissions=*/true));
-}
-
-TEST(WorkerEquivalence, FlatCombiningHoldsUnderInjectedWorldSwitchFaults) {
-  // A combined batch's single entry can fault and re-issue like any other; faults burn cycles
-  // on whoever is combining but never touch the dataflow.
-  const Pipeline p = MakeDistinct(1000);
-  const WorkerSessionArtifacts base =
-      RunWorkerSession(p, WorkloadKind::kTaxi, 1, /*fuse_chains=*/true,
-                       /*combine_submissions=*/false);
-  testing::ScopedFailPoint fp("world_switch.fault",
-                              testing::ScopedFailPoint::Seeded(/*seed=*/42, /*num=*/1,
-                                                               /*den=*/8));
-  ExpectWorkerCountInvariant(base, RunWorkerSession(p, WorkloadKind::kTaxi, 8,
-                                                    /*fuse_chains=*/true,
-                                                    /*combine_submissions=*/true));
-}
-
-// --- lock-free retire equivalence --------------------------------------------------------
-//
-// The lock-free ticket ring (bounded MPSC reorder buffer, per-worker slot staging, frontier
-// batch-commit) replaces the seq_mu_-guarded std::map. The legacy locked path stays compiled
-// as the reference implementation, and nothing about the swap may be externally visible: the
-// audit chain bytes, upload MAC, egress blobs, and replay verdicts must match the locked path
-// bit for bit at every worker count, every boundary mode, and under injected faults.
-
-WorkerSessionArtifacts RunLocked(const Pipeline& p, WorkloadKind kind, int workers,
-                                 bool fuse = true, bool combine = true) {
-  return RunWorkerSession(p, kind, workers, fuse, combine, /*lockfree_retire=*/false);
-}
-
-TEST(LockfreeRetireEquivalence, LockedVsLockfreeAcrossWorkerCounts) {
-  const Pipeline p = MakeDistinct(1000);
-  const WorkerSessionArtifacts locked = RunLocked(p, WorkloadKind::kTaxi, 1);
-  for (const int workers : {1, 2, 4, 8}) {
-    ExpectWorkerCountInvariant(locked, RunWorkerSession(p, WorkloadKind::kTaxi, workers));
-  }
-}
-
-TEST(LockfreeRetireEquivalence, PowerPipelineDeepCloseDag) {
-  // Power's 7-stage close DAG produces the longest per-ticket record vectors: the heaviest
-  // load on the slot staging and the frontier batch-commit.
-  const Pipeline p = MakePower(1000);
-  ExpectWorkerCountInvariant(RunLocked(p, WorkloadKind::kPowerGrid, 1),
-                             RunWorkerSession(p, WorkloadKind::kPowerGrid, 8));
-}
-
-TEST(LockfreeRetireEquivalence, FusedAndCombinedBoundaryModes) {
-  // The retire path composes with both boundary optimizations: call-per-primitive, fused
-  // chains, and flat-combined submissions all stage records under the same tickets.
-  const Pipeline p = MakeDistinct(1000);
-  const std::pair<bool, bool> modes[] = {{false, false}, {true, true}, {false, true}};
-  for (const auto& [fuse, combine] : modes) {
-    ExpectWorkerCountInvariant(
-        RunLocked(p, WorkloadKind::kTaxi, 4, fuse, combine),
-        RunWorkerSession(p, WorkloadKind::kTaxi, 4, fuse, combine));
-  }
-}
-
-TEST(LockfreeRetireEquivalence, HoldsUnderInjectedWorldSwitchFaults) {
-  // Seeded SMC faults abort and re-issue entries at schedule-dependent points; they burn
-  // cycles on the lock-free path's workers but must never touch the committed order.
-  const Pipeline p = MakeDistinct(1000);
-  const WorkerSessionArtifacts locked = RunLocked(p, WorkloadKind::kTaxi, 1);
-  testing::ScopedFailPoint fp("world_switch.fault",
-                              testing::ScopedFailPoint::Seeded(/*seed=*/57, /*num=*/1,
-                                                               /*den=*/8));
-  ExpectWorkerCountInvariant(locked, RunWorkerSession(p, WorkloadKind::kTaxi, 8));
-}
-
-TEST(LockfreeRetireEquivalence, SeededAllocFaultsFailIdentically) {
-  // Secure-DRAM exhaustion fails the chain (kept from the ingress-hardening PR). With one
-  // worker and a per-frame drain the schedule — and therefore the seeded fault sequence — is
-  // pinned, so the locked and lock-free paths must fail the SAME chains and still produce
-  // bit-identical artifacts, errors and all: a failed ticket retires empty through the ring
-  // exactly as it did through the map.
-  const Pipeline p = MakeDistinct(1000);
-  const auto run = [&](bool lockfree) {
-    testing::ScopedFailPoint fp("secure_world.alloc_frame",
-                                testing::ScopedFailPoint::Seeded(/*seed=*/2026, /*num=*/1,
-                                                                 /*den=*/7));
-    return RunWorkerSession(p, WorkloadKind::kTaxi, 1, /*fuse_chains=*/true,
-                            /*combine_submissions=*/true, lockfree,
-                            /*drain_per_frame=*/true);
-  };
-  const WorkerSessionArtifacts locked = run(false);
-  const WorkerSessionArtifacts lockfree = run(true);
-  EXPECT_GT(locked.task_errors + locked.ingest_failures, 0u) << "p=1/7 over many draws";
-  EXPECT_EQ(locked.task_errors, lockfree.task_errors);
-  EXPECT_EQ(locked.ingest_failures, lockfree.ingest_failures);
-  ExpectSameExternalArtifacts(locked, lockfree);
-}
+// --- checkpoint at the retire-ring frontier ----------------------------------------------
 
 TEST(LockfreeRetireEquivalence, CheckpointAtRingFrontierIsByteIdentical) {
   // A checkpoint may only seal once the reorder ring is fully committed (frontier == next
-  // ticket, open_tickets() == 0). Both retire paths must quiesce to the same frontier
-  // mid-stream and flush the same chain link into the seal.
+  // ticket, open_tickets() == 0). A 4-worker engine must quiesce to the same frontier
+  // mid-stream as the 1-worker reference and flush the same chain link into the seal.
   const Pipeline p = MakeDistinct(1000);
-  const auto run = [&](bool lockfree, int workers) {
+  const auto run = [&](int workers) {
     HarnessOptions opts;
     opts.version = EngineVersion::kSbtClearIngress;
     opts.engine.secure_pool_mb = 64;
@@ -845,7 +714,6 @@ TEST(LockfreeRetireEquivalence, CheckpointAtRingFrontierIsByteIdentical) {
 
     DataPlaneConfig cfg = MakeEngineConfig(opts.version, opts.engine);
     cfg.logical_audit_timestamps = true;
-    cfg.knobs.lockfree_retire = lockfree;
     DataPlane dp(cfg);
     RunnerConfig rc;
     rc.knobs.worker_threads = workers;
@@ -869,20 +737,20 @@ TEST(LockfreeRetireEquivalence, CheckpointAtRingFrontierIsByteIdentical) {
     return std::pair<AuditUpload, std::vector<WindowResult>>(
         bundle.ok() ? bundle->audit : AuditUpload{}, std::move(results));
   };
-  const auto [locked_audit, locked_results] = run(false, 1);
+  const auto [ref_audit, ref_results] = run(1);
   for (const int workers : {1, 4}) {
-    const auto [audit, results] = run(true, workers);
-    EXPECT_EQ(locked_audit.chain_seq, audit.chain_seq);
-    EXPECT_TRUE(DigestEqual(locked_audit.chain_prev, audit.chain_prev));
-    EXPECT_EQ(locked_audit.record_count, audit.record_count);
-    EXPECT_EQ(locked_audit.raw_bytes, audit.raw_bytes);
-    EXPECT_EQ(locked_audit.compressed, audit.compressed);
-    EXPECT_TRUE(DigestEqual(locked_audit.mac, audit.mac));
-    ASSERT_EQ(locked_results.size(), results.size());
+    const auto [audit, results] = run(workers);
+    EXPECT_EQ(ref_audit.chain_seq, audit.chain_seq);
+    EXPECT_TRUE(DigestEqual(ref_audit.chain_prev, audit.chain_prev));
+    EXPECT_EQ(ref_audit.record_count, audit.record_count);
+    EXPECT_EQ(ref_audit.raw_bytes, audit.raw_bytes);
+    EXPECT_EQ(ref_audit.compressed, audit.compressed);
+    EXPECT_TRUE(DigestEqual(ref_audit.mac, audit.mac));
+    ASSERT_EQ(ref_results.size(), results.size());
     for (size_t i = 0; i < results.size(); ++i) {
-      ASSERT_EQ(locked_results[i].blobs.size(), results[i].blobs.size());
+      ASSERT_EQ(ref_results[i].blobs.size(), results[i].blobs.size());
       for (size_t j = 0; j < results[i].blobs.size(); ++j) {
-        EXPECT_EQ(locked_results[i].blobs[j].ciphertext, results[i].blobs[j].ciphertext);
+        EXPECT_EQ(ref_results[i].blobs[j].ciphertext, results[i].blobs[j].ciphertext);
       }
     }
   }

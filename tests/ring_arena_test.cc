@@ -1,19 +1,22 @@
-// Concurrency suite for the lock-free retire path and the sharded id arenas: many threads
+// Concurrency suite for the lock-free retire ring and the sharded id arenas: many threads
 // hammer the ticket ring (stage + retire + frontier-commit election) and the allocator's
 // lock-free id reservation, under TSan in CI (label "concurrent", --repeat until-fail:3).
 // The properties here are the ones the byte-identity tests in property_test.cc rest on:
 // commit order == ticket order under any interleaving, ids disjoint under any interleaving.
+// The ring's reference is ReorderModel below, a sequential reorder buffer.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <deque>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/core/data_plane.h"
 #include "src/uarray/allocator.h"
 #include "tests/testing/testing.h"
@@ -21,11 +24,46 @@
 namespace sbt {
 namespace {
 
-DataPlaneConfig RingConfig(bool lockfree) {
-  DataPlaneConfig cfg = testing::SmallDataPlaneConfig(/*decrypt_ingress=*/false);
-  cfg.knobs.lockfree_retire = lockfree;
-  return cfg;
+DataPlaneConfig RingConfig() {
+  return testing::SmallDataPlaneConfig(/*decrypt_ingress=*/false);
 }
+
+// The retire ring's reference: a sequential reorder buffer. Records are staged per ticket
+// seq; retiring a ticket commits the contiguous retired prefix of the ticket order, oldest
+// first, stamping each committed record with the next logical timestamp.
+class ReorderModel {
+ public:
+  explicit ReorderModel(uint32_t first_ts) : next_ts_(first_ts) {}
+
+  void Stage(uint64_t seq, AuditRecord record) {
+    tickets_[seq].records.push_back(std::move(record));
+  }
+
+  void Retire(uint64_t seq) {
+    tickets_[seq].retired = true;
+    auto it = tickets_.begin();
+    while (it != tickets_.end() && it->first == frontier_ && it->second.retired) {
+      for (AuditRecord& record : it->second.records) {
+        record.ts_ms = next_ts_++;
+        log_.push_back(std::move(record));
+      }
+      it = tickets_.erase(it);
+      ++frontier_;
+    }
+  }
+
+  const std::vector<AuditRecord>& log() const { return log_; }
+
+ private:
+  struct Ticket {
+    std::vector<AuditRecord> records;
+    bool retired = false;
+  };
+  std::map<uint64_t, Ticket> tickets_;
+  uint64_t frontier_ = 0;
+  uint32_t next_ts_;
+  std::vector<AuditRecord> log_;
+};
 
 // --- ticket ring under contention --------------------------------------------------------
 
@@ -35,7 +73,7 @@ TEST(TicketRing, ConcurrentStageAndRetireCommitsInProgramOrder) {
   // must still read back in exact program order.
   constexpr uint64_t kTickets = 10000;
   constexpr int kWorkers = 8;
-  DataPlane dp(RingConfig(/*lockfree=*/true));
+  DataPlane dp(RingConfig());
 
   std::mutex mu;
   std::deque<ExecTicket> queue;
@@ -92,7 +130,7 @@ TEST(TicketRing, ReverseRetireCommitsNothingUntilTheFrontierRetires) {
   // Retire every ticket EXCEPT the frontier: nothing may commit (log order == ticket order,
   // not retire order). Retiring the frontier then commits the whole run in one batch.
   constexpr uint64_t kTickets = 64;
-  DataPlane dp(RingConfig(/*lockfree=*/true));
+  DataPlane dp(RingConfig());
 
   std::vector<ExecTicket> tickets;
   tickets.reserve(kTickets);
@@ -120,7 +158,7 @@ TEST(TicketRing, ConcurrentRetireElectionNeverStrandsASuffix) {
   // The commit-election race: a ticket that retires while another thread is mid-drain (or
   // just released the commit lock) must never be stranded uncommitted. Many rounds of a
   // 2-ticket race distill exactly that window.
-  DataPlane dp(RingConfig(/*lockfree=*/true));
+  DataPlane dp(RingConfig());
   constexpr int kRounds = 2000;
   for (int round = 0; round < kRounds; ++round) {
     ExecTicket a = dp.OpenTicket(0);
@@ -135,16 +173,156 @@ TEST(TicketRing, ConcurrentRetireElectionNeverStrandsASuffix) {
 }
 
 TEST(TicketRing, CheckpointRefusesWhileRingNonEmpty) {
-  // The checkpoint admission rule extends to the lock-free ring: an open ticket (or a retired
-  // ticket whose commit hasn't been drained) is in-flight state the seal must refuse.
-  for (const bool lockfree : {true, false}) {
-    DataPlane dp(RingConfig(lockfree));
-    ExecTicket ticket = dp.OpenTicket(0);
-    EXPECT_EQ(dp.Checkpoint().status().code(), StatusCode::kFailedPrecondition)
-        << "lockfree=" << lockfree;
-    dp.RetireTicket(ticket);
-    EXPECT_TRUE(dp.Checkpoint().ok()) << "lockfree=" << lockfree;
+  // The checkpoint admission rule extends to the ring: an open ticket (or a retired ticket
+  // whose commit hasn't been drained) is in-flight state the seal must refuse.
+  DataPlane dp(RingConfig());
+  ExecTicket ticket = dp.OpenTicket(0);
+  EXPECT_EQ(dp.Checkpoint().status().code(), StatusCode::kFailedPrecondition);
+  dp.RetireTicket(ticket);
+  EXPECT_TRUE(dp.Checkpoint().ok());
+}
+
+TEST(TicketRing, SeededShuffledRetireMatchesSequentialModel) {
+  // Tickets wrap the 4096-slot ring more than twice. Each stages 0-3 records; one in four
+  // also runs a command chain that fails partway — at its first command (nothing staged) or
+  // its second (the first command's record staged) — and retires with only that executed
+  // prefix. Every chunk of tickets is opened in program order, shuffled with a fixed seed, and
+  // retired by 8 racing workers; the committed log must equal the model's, record for record.
+  constexpr uint64_t kTickets = 10000;
+  constexpr size_t kChunk = 1024;
+  constexpr int kWorkers = 8;
+  DataPlaneConfig cfg = RingConfig();
+  cfg.logical_audit_timestamps = true;
+  DataPlane dp(cfg);
+
+  // The failing chains' first command reads this array without retiring it.
+  const std::vector<Event> events = testing::ConstantEvents(16);
+  auto input = dp.IngestBatch(testing::AsBytes(events), sizeof(Event), 0,
+                              IngestPath::kTrustedIo);
+  ASSERT_TRUE(input.ok());
+  std::vector<AuditRecord> setup;
+  dp.FlushAudit(&setup);
+  ASSERT_EQ(setup.size(), 1u);
+  const uint32_t input_id = setup[0].outputs[0];
+
+  struct Plan {
+    ExecTicket ticket;
+    uint32_t watermarks = 0;
+    int fail_at = -1;  // -1: no chain; else the index of the chain's rejected command
+  };
+  const auto watermark_value = [](const Plan& plan, uint32_t j) {
+    return static_cast<EventTimeMs>(plan.ticket.seq * 4 + j);
+  };
+  // Runs the plan's operations under its ticket, then retires it.
+  const auto execute = [&](Plan& plan) {
+    for (uint32_t j = 0; j < plan.watermarks; ++j) {
+      EXPECT_TRUE(dp.IngestWatermark(watermark_value(plan, j), 0, &plan.ticket).ok());
+    }
+    if (plan.fail_at >= 0) {
+      CmdBuffer chain;
+      if (plan.fail_at == 1) {
+        chain.Push(CmdBuffer::Entry{PrimitiveOp::kProject, {input->ref}, {},
+                                    HintRequest::None(), /*retire_inputs=*/false});
+      }
+      // A forward-pointing slot ref: rejected before the command runs, ending the chain.
+      chain.Push(CmdBuffer::Entry{PrimitiveOp::kProject, {MakeSlotRef(7)}, {},
+                                  HintRequest::None()});
+      EXPECT_EQ(dp.Submit(chain, &plan.ticket).status().code(), StatusCode::kInvalidArgument);
+    }
+    dp.RetireTicket(plan.ticket);
+  };
+  // The records the plan stages, in staging order: its watermarks, then the executed prefix
+  // of its chain (the first command's record, its output taking the ticket's reserved id).
+  const auto staged_records = [&](const Plan& plan) {
+    std::vector<AuditRecord> records(plan.watermarks);
+    for (uint32_t j = 0; j < plan.watermarks; ++j) {
+      records[j].op = PrimitiveOp::kWatermark;
+      records[j].watermark = watermark_value(plan, j);
+    }
+    if (plan.fail_at == 1) {
+      AuditRecord& record = records.emplace_back();
+      record.op = PrimitiveOp::kProject;
+      record.inputs = {input_id};
+      record.outputs = {static_cast<uint32_t>(plan.ticket.ids.next)};
+    }
+    return records;
+  };
+
+  std::mutex mu;
+  std::deque<Plan> queue;
+  std::atomic<bool> done{false};
+  std::vector<std::thread> workers;
+  workers.reserve(kWorkers);
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&] {
+      while (true) {
+        Plan plan;
+        bool got = false;
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          if (!queue.empty()) {
+            plan = queue.front();
+            queue.pop_front();
+            got = true;
+          } else if (done.load(std::memory_order_acquire)) {
+            return;
+          }
+        }
+        if (got) {
+          execute(plan);
+        } else {
+          std::this_thread::yield();
+        }
+      }
+    });
   }
+
+  // The model sees the same plans in the same seeded order, one at a time.
+  ReorderModel model(/*first_ts=*/1);  // the setup ingest record took logical timestamp 0
+  Xoshiro256 rng(2026);
+  for (uint64_t first = 0; first < kTickets; first += kChunk) {
+    std::vector<Plan> chunk;
+    for (uint64_t seq = first; seq < std::min<uint64_t>(first + kChunk, kTickets); ++seq) {
+      Plan plan;
+      const bool chain = rng.NextBelow(4) == 0;
+      plan.fail_at = chain ? static_cast<int>(rng.NextBelow(2)) : -1;
+      plan.watermarks = static_cast<uint32_t>(rng.NextBelow(plan.fail_at == 1 ? 3 : 4));
+      plan.ticket = dp.OpenTicket(plan.fail_at == 1 ? 1 : 0);  // waits while the ring is full
+      EXPECT_EQ(plan.ticket.seq, seq);
+      chunk.push_back(plan);
+    }
+    for (size_t i = chunk.size(); i > 1; --i) {
+      std::swap(chunk[i - 1], chunk[rng.NextBelow(i)]);
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      queue.insert(queue.end(), chunk.begin(), chunk.end());
+    }
+    for (const Plan& plan : chunk) {
+      for (AuditRecord& record : staged_records(plan)) {
+        model.Stage(plan.ticket.seq, std::move(record));
+      }
+      model.Retire(plan.ticket.seq);
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : workers) {
+    t.join();
+  }
+
+  EXPECT_EQ(dp.open_tickets(), 0u);
+  std::vector<AuditRecord> records;
+  dp.FlushAudit(&records);
+  ASSERT_EQ(records.size(), model.log().size());
+  size_t mismatches = 0;
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (!(records[i] == model.log()[i]) && mismatches++ == 0) {
+      ADD_FAILURE() << "first mismatch at record " << i << ": "
+                    << PrimitiveOpName(records[i].op) << " vs model "
+                    << PrimitiveOpName(model.log()[i].op);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 // --- sharded id arenas under contention ---------------------------------------------------

@@ -33,7 +33,6 @@
 #include "src/control/benchmarks.h"
 #include "src/control/engine.h"
 #include "src/core/data_plane.h"
-#include "src/core/submit_combiner.h"
 #include "src/obs/metrics.h"
 #include "tests/testing/testing.h"
 
@@ -49,10 +48,9 @@ DataPlaneConfig StressConfig() {
   return cfg;
 }
 
-RunnerConfig StressRunnerConfig(int workers, bool combine = true) {
+RunnerConfig StressRunnerConfig(int workers) {
   RunnerConfig rc;
   rc.knobs.worker_threads = workers;
-  rc.knobs.combine_submissions = combine;
   return rc;
 }
 
@@ -77,8 +75,7 @@ struct ContinuationArtifacts {
   uint64_t windows_emitted = 0;
 };
 
-void RunCheckpointedSession(int workers, ContinuationArtifacts* artifacts,
-                            bool combine = true) {
+void RunCheckpointedSession(int workers, ContinuationArtifacts* artifacts) {
   const Pipeline pipeline = MakeDistinct(1000);
   const DataPlaneConfig cfg = StressConfig();
   ContinuationArtifacts& out = *artifacts;
@@ -86,7 +83,7 @@ void RunCheckpointedSession(int workers, ContinuationArtifacts* artifacts,
   SealedCheckpoint sealed;
   {
     DataPlane dp(cfg);
-    Runner runner(&dp, pipeline, StressRunnerConfig(workers, combine));
+    Runner runner(&dp, pipeline, StressRunnerConfig(workers));
     for (uint32_t w = 0; w < 3; ++w) {
       for (int f = 0; f < 2; ++f) {
         const std::vector<Event> events = WindowEvents(w, 2000, 7 * w + f);
@@ -116,7 +113,7 @@ void RunCheckpointedSession(int workers, ContinuationArtifacts* artifacts,
 
   // Continue in a re-homed incarnation at the same worker count.
   DataPlane dp(cfg);
-  Runner runner(&dp, pipeline, StressRunnerConfig(workers, combine));
+  Runner runner(&dp, pipeline, StressRunnerConfig(workers));
   ASSERT_TRUE(EngineLifecycle(&dp, &runner).Restore(sealed).ok());
   for (uint32_t w = 3; w < 5; ++w) {
     for (int f = 0; f < 2; ++f) {
@@ -192,18 +189,6 @@ TEST_P(WorkerStress, CheckpointedContinuationMatchesSingleWorkerByteForByte) {
   RunCheckpointedSession(1, &reference);
   ContinuationArtifacts current;
   RunCheckpointedSession(GetParam(), &current);
-  ASSERT_FALSE(::testing::Test::HasFatalFailure());
-  ExpectContinuationsIdentical(current, reference);
-}
-
-TEST_P(WorkerStress, CheckpointedContinuationCombiningOffMatchesOn) {
-  // The flat-combining boundary must be invisible to the sealed checkpoint: an uncombined
-  // single-worker session is the reference, and a combined N-worker session that seals and
-  // restores mid-way must reproduce it byte for byte — uploads, egress blobs, chain MACs.
-  ContinuationArtifacts reference;
-  RunCheckpointedSession(1, &reference, /*combine=*/false);
-  ContinuationArtifacts current;
-  RunCheckpointedSession(GetParam(), &current, /*combine=*/true);
   ASSERT_FALSE(::testing::Test::HasFatalFailure());
   ExpectContinuationsIdentical(current, reference);
 }
@@ -299,11 +284,11 @@ INSTANTIATE_TEST_SUITE_P(WorkerCounts, WorkerStress, ::testing::Values(1, 2, 8))
 
 // --- 4. the checkpoint refusal decision is atomic with the seal --------------------------
 
-TEST(CheckpointRace, SealDecisionIsAtomicAgainstCombinedSubmission) {
+TEST(CheckpointRace, SealDecisionIsAtomicAgainstSubmission) {
   // Regression for a check-then-act window: Checkpoint read inflight_chains()/open_tickets()
   // and then sealed without holding the boundary admission lock, so a chain admitted between
   // the decision and the seal could execute mid-snapshot. The stall failpoint pins the
-  // checkpoint thread inside exactly that window — now under admission_mu_ — while a combined
+  // checkpoint thread inside exactly that window — now under admission_mu_ — while a ticketed
   // submission races it; the racer must block at admission until the seal completes, and its
   // audit record must land in the post-seal chain link, never the sealed one.
   DataPlane dp(testing::SmallDataPlaneConfig(/*decrypt_ingress=*/false));
@@ -323,15 +308,15 @@ TEST(CheckpointRace, SealDecisionIsAtomicAgainstCombinedSubmission) {
     std::this_thread::yield();  // decision made, seal pending: the window is open
   }
 
-  SubmitCombiner combiner;
   Result<SubmitResponse> raced = Internal("racer never ran");
   std::thread racer([&] {
     ExecTicket ticket = dp.OpenTicket(1);
     CmdBuffer one;
     one.Push(CmdBuffer::Entry{PrimitiveOp::kProject, {head}, {}, HintRequest::None()});
-    raced = combiner.Apply(&dp, one, &ticket, /*retire_ticket=*/true);
+    raced = dp.Submit(one, &ticket);
+    dp.RetireTicket(ticket);
   });
-  // The racer opens its ticket before its batch reaches admission; once the ticket is
+  // The racer opens its ticket before its chain reaches admission; once the ticket is
   // visible, give it a beat to block at the admission mutex, then let the seal proceed.
   while (dp.open_tickets() == 0) {
     std::this_thread::yield();
@@ -359,8 +344,8 @@ TEST(CheckpointRace, SealDecisionIsAtomicAgainstCombinedSubmission) {
 // the window and completion-order locks. DataPlane::OpenTicket waits while the retire ring is
 // full, and when the oldest unretired ticket was a window close, only a worker taking one of
 // those locks could queue (window lock) or egress (completion-order lock) that close. Each
-// scenario parks the close's last work in the held combiner, fills the ring to one free slot,
-// lets the submitter block on it, and then releases the combiner.
+// scenario parks the close's last work at the runner.submit_stall fail point, fills the ring
+// to one free slot, lets the submitter block on it, and then disarms the fail point.
 
 constexpr uint64_t kRetireRingSlots = 4096;  // DataPlane's retire-ring size
 
@@ -405,19 +390,34 @@ std::vector<Event> EventsInWindows(uint32_t first, uint32_t count, uint64_t seed
 class RetireRingFull : public ::testing::Test {
  protected:
   RetireRingFull()
-      : config_(LabeledConfig()), dp_(config_), runner_(&dp_, pipeline_, CombinedRunner()) {}
-  // A scenario that failed while holding the combiner must not leave the workers parked in it.
-  ~RetireRingFull() override { combiner_.Release(); }
+      : config_(LabeledConfig()), dp_(config_), runner_(&dp_, pipeline_, LabeledRunner()) {}
 
   static DataPlaneConfig LabeledConfig() {
     DataPlaneConfig cfg = StressConfig();
     cfg.metric_labels = {{"suite", "retire_ring_full"}};
     return cfg;
   }
-  RunnerConfig CombinedRunner() {
+  static RunnerConfig LabeledRunner() {
     RunnerConfig rc = StressRunnerConfig(2);
-    rc.combiner = &combiner_;
+    rc.metric_labels = {{"suite", "retire_ring_full"}};
     return rc;
+  }
+
+  // From here on, every chain or close stage a worker picks up spins before the boundary.
+  void Stall() {
+    stall_ = std::make_unique<testing::ScopedFailPoint>(
+        "runner.submit_stall",
+        testing::ScopedFailPoint::Counted(/*skip=*/0, /*fail=*/uint64_t{1} << 40));
+  }
+
+  // Waits until every queued task has been picked up and a worker has reached the stall: the
+  // queued work is parked in the workers, none of it past the boundary.
+  bool WaitParked() {
+    const obs::Gauge* depth = obs::MetricsRegistry::Global().GetGauge(
+        "sbt_runner_queue_depth", LabeledRunner().metric_labels);
+    return WaitUpTo10s([depth] {
+      return depth->Value() == 0 && FailPoints::Hits("runner.submit_stall") > 0;
+    });
   }
 
   // Opens and retires empty tickets until the ring has exactly one free slot.
@@ -427,8 +427,8 @@ class RetireRingFull : public ::testing::Test {
     }
   }
 
-  // Runs `submit` until it blocks on the full ring, releases the combiner, and requires
-  // `submit` to return.
+  // Runs `submit` until it blocks on the full ring, disarms the stall, and requires `submit` to
+  // return.
   void ReleaseWhileBlocked(const std::function<Status()>& submit) {
     const obs::Counter* stalls = obs::MetricsRegistry::Global().GetCounter(
         "sbt_ticket_ring_full_stalls_total", config_.metric_labels);
@@ -436,7 +436,7 @@ class RetireRingFull : public ::testing::Test {
     Status status = Internal("submit never returned");
     std::thread submitter([&] { status = submit(); });
     EXPECT_TRUE(WaitUpTo10s([&] { return stalls->Value() > before; })) << "ring never filled";
-    combiner_.Release();
+    stall_.reset();
     submitter.join();
     EXPECT_TRUE(status.ok()) << status.ToString();
   }
@@ -457,17 +457,19 @@ class RetireRingFull : public ::testing::Test {
   const Pipeline pipeline_ = MakeDistinct(1000);
   const DataPlaneConfig config_;
   DataPlane dp_;
-  SubmitCombiner combiner_;
   Runner runner_;
+  // Declared after runner_, so it is destroyed first: a scenario that failed while stalled
+  // does not leave the workers parked when the runner joins them.
+  std::unique_ptr<testing::ScopedFailPoint> stall_;
 };
 
 TEST_F(RetireRingFull, IngestWaitingForACloseDoesNotDeadlock) {
   RunUnderWatchdog(std::chrono::seconds(60), [this] {
-    // Window 0's only chain waits in the held combiner; the watermark then gives window 0 its
-    // close ticket, right behind the chain's.
-    combiner_.Hold();
+    // Window 0's only chain waits at the stall; the watermark then gives window 0 its close
+    // ticket, right behind the chain's.
+    Stall();
     ASSERT_TRUE(runner_.IngestFrame(testing::AsBytes(EventsInWindows(0, 1, 1))).ok());
-    ASSERT_TRUE(WaitUpTo10s([this] { return combiner_.queued() == 1; }));
+    ASSERT_TRUE(WaitParked());
     ASSERT_TRUE(runner_.AdvanceWatermark(1000).ok());
     FillRing();
     // The frame ticket takes the last slot, then four chain tickets open. The first waits for
@@ -482,15 +484,15 @@ TEST_F(RetireRingFull, IngestWaitingForACloseDoesNotDeadlock) {
 
 TEST_F(RetireRingFull, WatermarkWaitingForACloseDoesNotDeadlock) {
   RunUnderWatchdog(std::chrono::seconds(60), [this] {
-    // Window 0's close chain waits in the held combiner, and so does window 1's chain; the
-    // close ticket is the oldest unretired one and retires only after sequenced egress.
+    // Window 0's close chain waits at the stall, and so does window 1's chain; the close
+    // ticket is the oldest unretired one and retires only after sequenced egress.
     ASSERT_TRUE(runner_.IngestFrame(testing::AsBytes(EventsInWindows(0, 1, 3))).ok());
     runner_.Drain();
-    combiner_.Hold();
+    Stall();
     ASSERT_TRUE(runner_.AdvanceWatermark(1000).ok());
-    ASSERT_TRUE(WaitUpTo10s([this] { return combiner_.queued() == 1; }));
+    ASSERT_TRUE(WaitParked());
     ASSERT_TRUE(runner_.IngestFrame(testing::AsBytes(EventsInWindows(1, 1, 4))).ok());
-    ASSERT_TRUE(WaitUpTo10s([this] { return combiner_.queued() == 2; }));
+    ASSERT_TRUE(WaitParked());
     FillRing();
     // The watermark's own ticket takes the last slot; window 1's close ticket then waits for
     // window 0's close, whose worker egresses it under the completion-order lock.

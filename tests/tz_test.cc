@@ -342,7 +342,7 @@ TEST(WorldSwitchTest, MoveAssignSettlesTheAssignedOverSessionsResidual) {
   // Regression: move-assigning a fresh entry over a live session pays the old session's exit,
   // but its residual in-TEE tail — the cycles since its last annotation — used to vanish when
   // mark_ was overwritten mid-flight. session_cycles then under-counted every session ended by
-  // re-pointing, exactly the shape the combiner's reused session variable produces.
+  // re-pointing a long-lived session variable at a fresh entry.
   WorldSwitchGate gate(WorldSwitchConfig::Disabled());
   uint64_t after_first = 0;
   {
@@ -365,20 +365,6 @@ TEST(WorldSwitchTest, OpsPerEntryIsZeroWithoutEntries) {
   EXPECT_EQ(empty.ops_per_entry(), 0.0);
   WorldSwitchGate gate(WorldSwitchConfig::Disabled());
   EXPECT_EQ(gate.stats().ops_per_entry(), 0.0);
-}
-
-TEST(WorldSwitchTest, CombinedBatchStatsCountOnlyMultiChainEntries) {
-  WorldSwitchGate gate(WorldSwitchConfig::Disabled());
-  gate.NoteCombinedBatch(1);  // degenerate single-chain batch: not a combined entry
-  EXPECT_EQ(gate.stats().combined_entries, 0u);
-  EXPECT_EQ(gate.stats().combined_chains, 0u);
-  gate.NoteCombinedBatch(3);
-  gate.NoteCombinedBatch(2);
-  EXPECT_EQ(gate.stats().combined_entries, 2u);
-  EXPECT_EQ(gate.stats().combined_chains, 5u);
-  gate.ResetStats();
-  EXPECT_EQ(gate.stats().combined_entries, 0u);
-  EXPECT_EQ(gate.stats().combined_chains, 0u);
 }
 
 TEST(WorldSwitchTest, AnnotateOnMovedFromSessionIsANoOp) {

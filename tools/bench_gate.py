@@ -73,8 +73,8 @@ BENCHES = {
         "keys": ["series", "batch_events"],
         "metrics": [
             # Batch-size sweeps land on discrete chain/window-count steps, so the boundary
-            # metrics move in quanta; a 35% band gates the order-of-magnitude claim (combining
-            # and fusing amortize the boundary) without tripping on a one-step shift.
+            # metrics move in quanta; a 35% band gates the order-of-magnitude claim (fusing
+            # amortizes the boundary) without tripping on a one-step shift.
             Metric("ops_per_entry", portable=True, tolerance=0.35),
             Metric("switch_entries", lower_is_worse=False, portable=True, tolerance=0.35),
             Metric("events_per_sec"),
