@@ -3,7 +3,7 @@
 // Every binary prints the rows/series of its paper table or figure. Absolute numbers are
 // host-specific (this substrate is an emulator, not the authors' HiKey board); the *shapes* —
 // who wins, by what factor, where crossovers fall — are the reproduction targets, recorded in
-// EXPERIMENTS.md.
+// README.md.
 //
 // SBT_BENCH_SCALE scales workload sizes: 1 = quick CI sizes (default), larger = closer to the
 // paper's 1M-events-per-window runs.

@@ -6,9 +6,8 @@
 //   packed = ((key ^ 0x80000000) << 32) | (value ^ 0x80000000)
 //
 // The XORs map unsigned key order and signed value order onto the signed order of the packed
-// word, which is exactly what AVX2 offers a comparator for (_mm256_cmpgt_epi64). This keeps the
-// vectorized sort/merge kernels branch-free and lets one kernel serve every GroupBy-family
-// operator. (The paper packs NEON lanes the same way for its ARMv8 kernels.)
+// word, so one 64-bit comparison orders two records and one sort/merge kernel serves every
+// GroupBy-family operator. (The paper packs NEON lanes the same way for its ARMv8 kernels.)
 
 #ifndef SRC_PRIMITIVES_KV_H_
 #define SRC_PRIMITIVES_KV_H_

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "src/common/logging.h"
-#include "src/primitives/simd_kernels.h"
 
 namespace sbt {
 namespace {
@@ -52,6 +51,53 @@ Result<UArray*> FilterCopy(const PrimitiveContext& ctx, const UArray& input, Pre
   for (const T& e : input.Span<T>()) {
     if (keep(e)) {
       chunk[fill++] = e;
+      if (fill == kChunkElems) {
+        SBT_RETURN_IF_ERROR(out->Append(chunk, fill * sizeof(T)));
+        fill = 0;
+      }
+    }
+  }
+  if (fill > 0) {
+    SBT_RETURN_IF_ERROR(out->Append(chunk, fill * sizeof(T)));
+  }
+  out->Produce();
+  return out;
+}
+
+// Sums `value(e)` over the input in four independent accumulators. A single `sum += e.value`
+// loop over Events compiles (GCC 12, -O3) to SSE2 code that spills its accumulator to the stack
+// and runs 4-9x slower. The accumulators are unsigned so that the sum wraps instead of
+// overflowing; modular addition reassociates, so the split cannot change the result.
+template <typename T, typename Value>
+int64_t SumOf(const UArray& input, Value value) {
+  const auto in = input.Span<T>();
+  uint64_t acc[4] = {0, 0, 0, 0};
+  size_t i = 0;
+  for (; i + 4 <= in.size(); i += 4) {
+    acc[0] += static_cast<uint64_t>(value(in[i]));
+    acc[1] += static_cast<uint64_t>(value(in[i + 1]));
+    acc[2] += static_cast<uint64_t>(value(in[i + 2]));
+    acc[3] += static_cast<uint64_t>(value(in[i + 3]));
+  }
+  for (; i < in.size(); ++i) {
+    acc[0] += static_cast<uint64_t>(value(in[i]));
+  }
+  return static_cast<int64_t>(acc[0] + acc[1] + acc[2] + acc[3]);
+}
+
+// Emits `project(kv)` for every element of a sorted PackedKV run whose projection differs from
+// its predecessor's (the first element always), through a stack chunk buffer.
+template <typename T, typename Project>
+Result<UArray*> AdjacentUnique(const PrimitiveContext& ctx, const UArray& sorted_kv,
+                               Project project) {
+  SBT_ASSIGN_OR_RETURN(UArray * out, ctx.NewOutput(sizeof(T)));
+  const auto in = sorted_kv.Span<PackedKV>();
+  T chunk[kChunkElems];
+  size_t fill = 0;
+  for (size_t i = 0; i < in.size(); ++i) {
+    const T cur = project(in[i]);
+    if (i == 0 || cur != project(in[i - 1])) {
+      chunk[fill++] = cur;
       if (fill == kChunkElems) {
         SBT_RETURN_IF_ERROR(out->Append(chunk, fill * sizeof(T)));
         fill = 0;
@@ -147,20 +193,8 @@ Result<UArray*> PrimFilterBand(const PrimitiveContext& ctx, const UArray& events
                                int32_t hi) {
   SBT_RETURN_IF_ERROR(RequireProduced(events, "FilterBand"));
   SBT_RETURN_IF_ERROR(RequireElemSize(events, sizeof(Event), "FilterBand"));
-  // Vectorized band compare (simd_kernels.h); kept events are bit-copies either way, so the
-  // output is byte-identical to the scalar FilterCopy path at every dispatch level.
-  SBT_ASSIGN_OR_RETURN(UArray * out, ctx.NewOutput(sizeof(Event)));
-  const auto in = events.Span<Event>();
-  Event chunk[kChunkElems];
-  for (size_t i = 0; i < in.size(); i += kChunkElems) {
-    const size_t n = std::min(kChunkElems, in.size() - i);
-    const size_t kept = simd::FilterBandEvents(in.data() + i, n, lo, hi, chunk);
-    if (kept > 0) {
-      SBT_RETURN_IF_ERROR(out->Append(chunk, kept * sizeof(Event)));
-    }
-  }
-  out->Produce();
-  return out;
+  return FilterCopy<Event>(ctx, events,
+                           [lo, hi](const Event& e) { return e.value >= lo && e.value < hi; });
 }
 
 Result<UArray*> PrimSelect(const PrimitiveContext& ctx, const UArray& events, uint32_t key) {
@@ -259,12 +293,10 @@ Result<UArray*> PrimSum(const PrimitiveContext& ctx, const UArray& input) {
   SBT_RETURN_IF_ERROR(RequireProduced(input, "Sum"));
   int64_t sum = 0;
   if (input.elem_size() == sizeof(Event)) {
-    const auto in = input.Span<Event>();
-    sum = simd::SumEventValues(in.data(), in.size());
+    sum = SumOf<Event>(input, [](const Event& e) { return e.value; });
   } else if (input.elem_size() == sizeof(int64_t)) {
     // Raw 64-bit addends: partial sums being combined at window close.
-    const auto in = input.Span<int64_t>();
-    sum = simd::SumI64(in.data(), in.size());
+    sum = SumOf<int64_t>(input, [](int64_t v) { return v; });
   } else {
     return InvalidArgument("Sum: input must be Event or int64 partials");
   }
@@ -463,26 +495,7 @@ Result<UArray*> PrimUnique(const PrimitiveContext& ctx, const UArray& sorted_kv)
   SBT_RETURN_IF_ERROR(RequireProduced(sorted_kv, "Unique"));
   SBT_RETURN_IF_ERROR(RequireElemSize(sorted_kv, sizeof(PackedKV), "Unique"));
   SBT_UARRAY_DCHECK(IsSortedKV(sorted_kv));
-
-  // Vectorized run-boundary scan (simd_kernels.h): a key is emitted exactly where it differs
-  // from its predecessor, with the carry crossing chunk borders.
-  const auto in = sorted_kv.Span<int64_t>();
-  SBT_ASSIGN_OR_RETURN(UArray * out, ctx.NewOutput(sizeof(uint32_t)));
-  uint32_t chunk[kChunkElems];
-  uint32_t prev_key = 0;
-  bool has_prev = false;
-  for (size_t i = 0; i < in.size(); i += kChunkElems) {
-    const size_t n = std::min(kChunkElems, in.size() - i);
-    const size_t emitted =
-        simd::UniqueKeysPacked(in.data() + i, n, has_prev ? &prev_key : nullptr, chunk);
-    if (emitted > 0) {
-      SBT_RETURN_IF_ERROR(out->Append(chunk, emitted * sizeof(uint32_t)));
-    }
-    prev_key = UnpackKey(in[i + n - 1]);
-    has_prev = true;
-  }
-  out->Produce();
-  return out;
+  return AdjacentUnique<uint32_t>(ctx, sorted_kv, [](PackedKV kv) { return UnpackKey(kv); });
 }
 
 Result<UArray*> PrimCountPerKey(const PrimitiveContext& ctx, const UArray& sorted_kv) {
@@ -533,25 +546,7 @@ Result<UArray*> PrimDedup(const PrimitiveContext& ctx, const UArray& sorted_kv) 
   SBT_RETURN_IF_ERROR(RequireProduced(sorted_kv, "Dedup"));
   SBT_RETURN_IF_ERROR(RequireElemSize(sorted_kv, sizeof(PackedKV), "Dedup"));
   SBT_UARRAY_DCHECK(IsSortedKV(sorted_kv));
-
-  // Vectorized adjacent-unique compaction (simd_kernels.h); kept KVs are bit-copies, so the
-  // output matches the scalar first/prev filter byte-for-byte at every dispatch level.
-  SBT_ASSIGN_OR_RETURN(UArray * out, ctx.NewOutput(sizeof(PackedKV)));
-  const auto in = sorted_kv.Span<int64_t>();
-  int64_t chunk[kChunkElems];
-  int64_t prev = 0;
-  bool has_prev = false;
-  for (size_t i = 0; i < in.size(); i += kChunkElems) {
-    const size_t n = std::min(kChunkElems, in.size() - i);
-    const size_t kept = simd::DedupI64(in.data() + i, n, has_prev ? &prev : nullptr, chunk);
-    if (kept > 0) {
-      SBT_RETURN_IF_ERROR(out->Append(chunk, kept * sizeof(PackedKV)));
-    }
-    prev = in[i + n - 1];
-    has_prev = true;
-  }
-  out->Produce();
-  return out;
+  return AdjacentUnique<PackedKV>(ctx, sorted_kv, [](PackedKV kv) { return kv; });
 }
 
 Result<UArray*> PrimJoin(const PrimitiveContext& ctx, const UArray& left, const UArray& right) {

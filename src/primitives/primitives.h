@@ -123,7 +123,7 @@ Result<UArray*> PrimCount(const PrimitiveContext& ctx, const UArray& input);
 
 // --- PackedKV primitives (GroupBy family) -----------------------------------
 
-// kSort: ascending PackedKV sort; the vectorized core of GroupBy.
+// kSort: ascending PackedKV sort; the core of GroupBy.
 Result<UArray*> PrimSort(const PrimitiveContext& ctx, const UArray& kv);
 
 // kMerge: merges two sorted uArrays into one sorted output.

@@ -19,7 +19,7 @@ enum class PrimitiveOp : uint16_t {
   kWatermark = 2,
 
   // Trusted primitives.
-  kSort = 10,         // sort a PackedKV uArray (vectorized)
+  kSort = 10,         // sort a PackedKV uArray
   kMerge = 11,        // merge two sorted PackedKV uArrays
   kMergeN = 12,       // N-way merge (copy, binary merge, or concatenate + radix sort)
   kSegment = 13,      // split an Event uArray into per-window uArrays

@@ -1,15 +1,14 @@
 // Unit + differential tests for the trusted primitives.
 //
-// Every GroupBy-family primitive is checked against an obvious reference computation, and every
-// sort/merge kernel (radix, AVX2, scalar) is differentially tested against std::sort /
-// std::merge across sizes and distributions (the paper's determinism requirement: same inputs
-// -> same bytes).
+// Every GroupBy-family primitive is checked against an obvious reference computation, and the
+// sort/merge kernels (radix sort, mergesort below its crossover, branchless merge) are
+// differentially tested against std::sort / std::merge across sizes and distributions (the
+// paper's determinism requirement: same inputs -> same bytes).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -90,14 +89,9 @@ TEST(KvTest, ExtremeValuesOrderCorrectly) {
   EXPECT_LT(PackKV(0xfffffffe, 5), PackKV(0xffffffff, -5));
 }
 
-// --- vectorized sort/merge -----------------------------------------------------
+// --- sort/merge kernels ---------------------------------------------------------
 
-class VecSortTest : public ::testing::TestWithParam<SortImpl> {};
-
-TEST_P(VecSortTest, MatchesStdSortAcrossSizes) {
-  if (GetParam() == SortImpl::kVector && !VectorSortSupported()) {
-    GTEST_SKIP() << "no AVX2";
-  }
+TEST(VecSortTest, MatchesStdSortAcrossSizes) {
   Xoshiro256 rng(77);
   for (size_t n : std::vector<size_t>{0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 63, 100,
                                       kRadixSortMinKeys - 1, kRadixSortMinKeys,
@@ -109,49 +103,45 @@ TEST_P(VecSortTest, MatchesStdSortAcrossSizes) {
     std::vector<int64_t> expected = data;
     std::sort(expected.begin(), expected.end());
     std::vector<int64_t> scratch(n);
-    SortI64(data, scratch, GetParam());
+    SortI64(data, scratch);
     EXPECT_EQ(data, expected) << "n=" << n;
   }
 }
 
-TEST_P(VecSortTest, HandlesAdversarialDistributions) {
-  if (GetParam() == SortImpl::kVector && !VectorSortSupported()) {
-    GTEST_SKIP() << "no AVX2";
-  }
-  const size_t n = 10000;
-  std::vector<std::vector<int64_t>> cases;
-  // Already sorted, reverse sorted, all equal, few distinct, organ pipe.
-  std::vector<int64_t> v(n);
-  for (size_t i = 0; i < n; ++i) {
-    v[i] = static_cast<int64_t>(i);
-  }
-  cases.push_back(v);
-  std::reverse(v.begin(), v.end());
-  cases.push_back(v);
-  cases.push_back(std::vector<int64_t>(n, 42));
-  Xoshiro256 rng(3);
-  for (auto& x : v) {
-    x = static_cast<int64_t>(rng.NextBelow(4));
-  }
-  cases.push_back(v);
-  for (size_t i = 0; i < n; ++i) {
-    v[i] = static_cast<int64_t>(i < n / 2 ? i : n - i);
-  }
-  cases.push_back(v);
+TEST(VecSortTest, HandlesAdversarialDistributions) {
+  // The largest size the mergesort takes, and one the radix sort takes.
+  for (const size_t n : {kRadixSortMinKeys - 1, size_t{10000}}) {
+    std::vector<std::vector<int64_t>> cases;
+    // Already sorted, reverse sorted, all equal, few distinct, organ pipe.
+    std::vector<int64_t> v(n);
+    for (size_t i = 0; i < n; ++i) {
+      v[i] = static_cast<int64_t>(i);
+    }
+    cases.push_back(v);
+    std::reverse(v.begin(), v.end());
+    cases.push_back(v);
+    cases.push_back(std::vector<int64_t>(n, 42));
+    Xoshiro256 rng(3);
+    for (auto& x : v) {
+      x = static_cast<int64_t>(rng.NextBelow(4));
+    }
+    cases.push_back(v);
+    for (size_t i = 0; i < n; ++i) {
+      v[i] = static_cast<int64_t>(i < n / 2 ? i : n - i);
+    }
+    cases.push_back(v);
 
-  for (auto& data : cases) {
-    std::vector<int64_t> expected = data;
-    std::sort(expected.begin(), expected.end());
-    std::vector<int64_t> scratch(data.size());
-    SortI64(data, scratch, GetParam());
-    EXPECT_EQ(data, expected);
+    for (auto& data : cases) {
+      std::vector<int64_t> expected = data;
+      std::sort(expected.begin(), expected.end());
+      std::vector<int64_t> scratch(data.size());
+      SortI64(data, scratch);
+      EXPECT_EQ(data, expected) << "n=" << n;
+    }
   }
 }
 
-TEST_P(VecSortTest, MergeMatchesStdMerge) {
-  if (GetParam() == SortImpl::kVector && !VectorSortSupported()) {
-    GTEST_SKIP() << "no AVX2";
-  }
+TEST(VecSortTest, MergeMatchesStdMerge) {
   Xoshiro256 rng(99);
   for (int round = 0; round < 200; ++round) {
     const size_t na = rng.NextBelow(300);
@@ -169,15 +159,12 @@ TEST_P(VecSortTest, MergeMatchesStdMerge) {
     std::vector<int64_t> expected(na + nb);
     std::merge(a.begin(), a.end(), b.begin(), b.end(), expected.begin());
     std::vector<int64_t> out(na + nb);
-    MergeI64(a, b, out, GetParam());
+    MergeI64(a, b, out);
     EXPECT_EQ(out, expected) << "round=" << round << " na=" << na << " nb=" << nb;
   }
 }
 
-TEST_P(VecSortTest, MergeLargeRuns) {
-  if (GetParam() == SortImpl::kVector && !VectorSortSupported()) {
-    GTEST_SKIP() << "no AVX2";
-  }
+TEST(VecSortTest, MergeLargeRuns) {
   Xoshiro256 rng(13);
   std::vector<int64_t> a(50000);
   std::vector<int64_t> b(70000);
@@ -192,18 +179,9 @@ TEST_P(VecSortTest, MergeLargeRuns) {
   std::vector<int64_t> expected(a.size() + b.size());
   std::merge(a.begin(), a.end(), b.begin(), b.end(), expected.begin());
   std::vector<int64_t> out(a.size() + b.size());
-  MergeI64(a, b, out, GetParam());
+  MergeI64(a, b, out);
   EXPECT_EQ(out, expected);
 }
-
-std::string SortImplName(const ::testing::TestParamInfo<SortImpl>& info) {
-  constexpr const char* kNames[] = {"Auto", "Vector", "Scalar"};  // SortImpl order
-  return kNames[static_cast<int>(info.param)];
-}
-
-INSTANTIATE_TEST_SUITE_P(AllImpls, VecSortTest,
-                         ::testing::Values(SortImpl::kScalar, SortImpl::kVector, SortImpl::kAuto),
-                         SortImplName);
 
 // --- event primitives ----------------------------------------------------------
 

@@ -6,8 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
+#include <iterator>
 #include <map>
+#include <numeric>
 
 #include "src/attest/compress.h"
 #include "src/attest/verifier.h"
@@ -18,7 +19,6 @@
 #include "src/control/lifecycle.h"
 #include "src/crypto/sha256.h"
 #include "src/primitives/primitives.h"
-#include "src/primitives/simd_kernels.h"
 #include "src/primitives/vec_sort.h"
 #include "src/server/edge_server.h"
 #include "src/server/shard_router.h"
@@ -27,7 +27,7 @@
 namespace sbt {
 namespace {
 
-// --- sort kernel sweep: size x distribution, every implementation ---------------------
+// --- sort kernel sweep: size x distribution ------------------------------------------------
 
 struct SortCase {
   size_t n;
@@ -40,7 +40,7 @@ constexpr int kSortDistributions = 16;
 
 class SortSweep : public ::testing::TestWithParam<SortCase> {};
 
-TEST_P(SortSweep, MatchesStdSortEveryImpl) {
+TEST_P(SortSweep, MatchesStdSort) {
   const SortCase c = GetParam();
   Xoshiro256 rng(c.n * 31 + c.distribution);
   constexpr uint64_t kFixedBits = 0x0123456789abcdefull;
@@ -82,22 +82,15 @@ TEST_P(SortSweep, MatchesStdSortEveryImpl) {
   std::vector<int64_t> expected = data;
   std::sort(expected.begin(), expected.end());
 
-  for (SortImpl impl : {SortImpl::kScalar, SortImpl::kVector, SortImpl::kAuto}) {
-    if (impl == SortImpl::kVector && !VectorSortSupported()) {
-      continue;
-    }
-    std::vector<int64_t> work = data;
-    std::vector<int64_t> scratch(c.n);
-    SortI64(work, scratch, impl);
-    EXPECT_EQ(work, expected) << "n=" << c.n << " dist=" << c.distribution
-                              << " impl=" << static_cast<int>(impl);
-  }
+  std::vector<int64_t> scratch(c.n);
+  SortI64(data, scratch);
+  EXPECT_EQ(data, expected) << "n=" << c.n << " dist=" << c.distribution;
 }
 
 std::vector<SortCase> SortCases() {
   std::vector<SortCase> cases;
-  // Sizes straddling kAuto's radix crossover, kVector's radix threshold (1<<16), and the
-  // in-register block sizes.
+  // Sizes straddling SortI64's crossover from the mergesort to the radix sort, then larger
+  // powers of two and their neighbours.
   for (size_t n : std::vector<size_t>{3, 64, kRadixSortMinKeys - 1, kRadixSortMinKeys,
                                       kRadixSortMinKeys + 1, 2047, 2048, 65535, 65536, 65537,
                                       200000}) {
@@ -756,113 +749,103 @@ TEST(LockfreeRetireEquivalence, CheckpointAtRingFrontierIsByteIdentical) {
   }
 }
 
-// --- SIMD kernel byte-equivalence --------------------------------------------------------
+// --- FilterBand, Sum, Dedup and Unique against small models -------------------------------
 //
-// The vectorized inner loops (simd_kernels.h) claim bit-identity with their scalar
-// references: compacted elements are bit-copies and integer sums reassociate losslessly.
-// Sweep every level the host supports against the scalar output on randomized inputs whose
-// sizes straddle the vector widths and chunk boundaries, including the cross-chunk carries.
+// Each of these primitives is one loop over its whole input that emits through a 1024-element
+// stack chunk. Input sizes straddle that chunk (1023, 1024, 1025, 2049) and include random
+// ones; the bands and key ranges make outputs of every size from empty to the whole input, and
+// duplicate runs that cross a chunk border.
 
-class ForcedSimdLevel {
- public:
-  explicit ForcedSimdLevel(simd::SimdLevel level) { simd::ForceLevelForTest(level); }
-  ~ForcedSimdLevel() { simd::ClearForcedLevelForTest(); }
-};
+TEST(KernelModels, PrimitivesMatchStandardAlgorithms) {
+  TzPartitionConfig tz;
+  tz.secure_dram_bytes = 32u << 20;
+  tz.group_reserve_bytes = 32u << 20;
+  SecureWorld world(tz);
+  UArrayAllocator alloc(&world);
+  PrimitiveContext ctx;
+  ctx.alloc = &alloc;
+  const auto make = [&alloc](const auto& values) {
+    using T = typename std::decay_t<decltype(values)>::value_type;
+    UArray* arr = *alloc.Create(sizeof(T), UArrayScope::kStreaming);
+    EXPECT_TRUE(arr->Append(values.data(), values.size() * sizeof(T)).ok());
+    arr->Produce();
+    return arr;
+  };
 
-TEST(SimdKernelEquivalence, AllLevelsMatchScalarReference) {
   Xoshiro256 rng(4242);
-  const simd::SimdLevel levels[] = {simd::SimdLevel::kSse2, simd::SimdLevel::kAvx2};
-  for (int trial = 0; trial < 40; ++trial) {
-    const size_t n = rng.NextBelow(600) + (trial < 8 ? trial : 0);  // hit tiny sizes too
-
+  std::vector<size_t> sizes = {0, 1, 2, 1023, 1024, 1025, 2049};
+  for (int i = 0; i < 16; ++i) {
+    sizes.push_back(rng.NextBelow(5000));
+  }
+  for (const size_t n : sizes) {
     std::vector<Event> events(n);
     for (Event& e : events) {
       e.ts_ms = static_cast<EventTimeMs>(rng.NextBelow(1u << 20));
       e.key = static_cast<uint32_t>(rng.NextBelow(64));
-      e.value = static_cast<int32_t>(rng.Next32());
+      e.value = static_cast<int32_t>(rng.NextBelow(10000)) - 100;
     }
-    const int32_t lo = static_cast<int32_t>(rng.Next32() % 1000) - 500;
-    const int32_t hi = lo + static_cast<int32_t>(rng.NextBelow(1u << 30));
-
-    std::vector<int64_t> sorted(n);
-    for (int64_t& v : sorted) {
-      v = static_cast<int64_t>(rng.NextBelow(40)) - 20;  // heavy duplication
-    }
-    std::sort(sorted.begin(), sorted.end());
-    std::vector<int64_t> packed(n);
-    for (int64_t& v : packed) {
-      v = PackKV(static_cast<uint32_t>(rng.NextBelow(30)),
-                 static_cast<int32_t>(rng.Next32()));
-    }
-    std::sort(packed.begin(), packed.end());
-    const int64_t prev = sorted.empty() ? 0 : sorted[0];
-    const uint32_t prev_key = packed.empty() ? 0 : UnpackKey(packed[0]);
-
-    // Scalar reference for every kernel, including the carry-in variants.
-    std::vector<Event> ref_filtered(n);
-    std::vector<int64_t> ref_dedup(n), ref_dedup_carry(n);
-    std::vector<uint32_t> ref_unique(n), ref_unique_carry(n);
-    size_t ref_nf, ref_nd, ref_ndc, ref_nu, ref_nuc;
-    int64_t ref_sum_events, ref_sum_i64;
-    {
-      ForcedSimdLevel forced(simd::SimdLevel::kScalar);
-      ref_nf = simd::FilterBandEvents(events.data(), n, lo, hi, ref_filtered.data());
-      ref_sum_events = simd::SumEventValues(events.data(), n);
-      ref_sum_i64 = simd::SumI64(sorted.data(), n);
-      ref_nd = simd::DedupI64(sorted.data(), n, nullptr, ref_dedup.data());
-      ref_ndc = simd::DedupI64(sorted.data(), n, &prev, ref_dedup_carry.data());
-      ref_nu = simd::UniqueKeysPacked(packed.data(), n, nullptr, ref_unique.data());
-      ref_nuc = simd::UniqueKeysPacked(packed.data(), n, &prev_key, ref_unique_carry.data());
+    const UArray* ev = make(events);
+    for (const auto& [lo, hi] : {std::pair{-100, 9900}, std::pair{0, 100},
+                                 std::pair{static_cast<int32_t>(rng.NextBelow(9000)), 9000}}) {
+      std::vector<Event> expected;
+      std::copy_if(events.begin(), events.end(), std::back_inserter(expected),
+                   [lo, hi](const Event& e) { return e.value >= lo && e.value < hi; });
+      auto out = PrimFilterBand(ctx, *ev, lo, hi);
+      ASSERT_TRUE(out.ok());
+      const auto got = (*out)->Span<Event>();
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin(), expected.end()))
+          << "n=" << n << " band=[" << lo << "," << hi << ")";
     }
 
-    for (const simd::SimdLevel level : levels) {
-      if (level > simd::HostMaxLevel()) {
-        continue;  // scalar-forced builds and pre-AVX2 hosts sweep what they can run
+    auto sum = PrimSum(ctx, *ev);
+    ASSERT_TRUE(sum.ok());
+    EXPECT_EQ((*sum)->Span<int64_t>()[0],
+              std::accumulate(events.begin(), events.end(), int64_t{0},
+                              [](int64_t s, const Event& e) { return s + e.value; }))
+        << "n=" << n;
+    // Full-range int64 partials: the sum wraps, so the model adds modulo 2^64.
+    std::vector<int64_t> partials(n);
+    for (int64_t& v : partials) {
+      v = static_cast<int64_t>(rng.Next());
+    }
+    auto partial_sum = PrimSum(ctx, *make(partials));
+    ASSERT_TRUE(partial_sum.ok());
+    EXPECT_EQ((*partial_sum)->Span<int64_t>()[0],
+              static_cast<int64_t>(std::accumulate(
+                  partials.begin(), partials.end(), uint64_t{0},
+                  [](uint64_t s, int64_t v) { return s + static_cast<uint64_t>(v); })))
+        << "n=" << n;
+
+    // Key ranges from long runs to nearly all-distinct words.
+    for (const uint64_t keys : {uint64_t{40}, n / 2 + 1, uint64_t{1} << 31}) {
+      std::vector<PackedKV> sorted(n);
+      for (PackedKV& kv : sorted) {
+        kv = PackKV(static_cast<uint32_t>(rng.NextBelow(keys)),
+                    static_cast<int32_t>(rng.NextBelow(4)));
       }
-      ForcedSimdLevel forced(level);
-      std::vector<Event> filtered(n);
-      EXPECT_EQ(simd::FilterBandEvents(events.data(), n, lo, hi, filtered.data()), ref_nf);
-      EXPECT_EQ(std::memcmp(filtered.data(), ref_filtered.data(), ref_nf * sizeof(Event)), 0)
-          << "level=" << simd::LevelName(level) << " n=" << n;
-      EXPECT_EQ(simd::SumEventValues(events.data(), n), ref_sum_events);
-      EXPECT_EQ(simd::SumI64(sorted.data(), n), ref_sum_i64);
+      std::sort(sorted.begin(), sorted.end());
+      const UArray* kv = make(sorted);
 
-      std::vector<int64_t> dedup(n);
-      EXPECT_EQ(simd::DedupI64(sorted.data(), n, nullptr, dedup.data()), ref_nd);
-      EXPECT_TRUE(std::equal(dedup.begin(), dedup.begin() + ref_nd, ref_dedup.begin()));
-      EXPECT_EQ(simd::DedupI64(sorted.data(), n, &prev, dedup.data()), ref_ndc);
-      EXPECT_TRUE(std::equal(dedup.begin(), dedup.begin() + ref_ndc, ref_dedup_carry.begin()));
+      std::vector<PackedKV> distinct_words;
+      std::unique_copy(sorted.begin(), sorted.end(), std::back_inserter(distinct_words));
+      auto dedup = PrimDedup(ctx, *kv);
+      ASSERT_TRUE(dedup.ok());
+      const auto got_words = (*dedup)->Span<PackedKV>();
+      EXPECT_TRUE(std::equal(got_words.begin(), got_words.end(), distinct_words.begin(),
+                             distinct_words.end()))
+          << "n=" << n << " keys=" << keys;
 
-      std::vector<uint32_t> unique(n);
-      EXPECT_EQ(simd::UniqueKeysPacked(packed.data(), n, nullptr, unique.data()), ref_nu);
-      EXPECT_TRUE(std::equal(unique.begin(), unique.begin() + ref_nu, ref_unique.begin()));
-      EXPECT_EQ(simd::UniqueKeysPacked(packed.data(), n, &prev_key, unique.data()), ref_nuc);
-      EXPECT_TRUE(
-          std::equal(unique.begin(), unique.begin() + ref_nuc, ref_unique_carry.begin()));
+      std::vector<uint32_t> all_keys(n);
+      std::transform(sorted.begin(), sorted.end(), all_keys.begin(), UnpackKey);
+      std::vector<uint32_t> distinct_keys;
+      std::unique_copy(all_keys.begin(), all_keys.end(), std::back_inserter(distinct_keys));
+      auto unique = PrimUnique(ctx, *kv);
+      ASSERT_TRUE(unique.ok());
+      const auto got_keys = (*unique)->Span<uint32_t>();
+      EXPECT_TRUE(std::equal(got_keys.begin(), got_keys.end(), distinct_keys.begin(),
+                             distinct_keys.end()))
+          << "n=" << n << " keys=" << keys;
     }
-  }
-}
-
-TEST(SimdKernelEquivalence, ChunkedRunsMatchWholeRuns) {
-  // The primitives feed these kernels in fixed-size chunks with carries; splitting at any
-  // point with the carry threaded through must equal the unsplit run.
-  Xoshiro256 rng(99);
-  const size_t n = 1000;
-  std::vector<int64_t> sorted(n);
-  for (int64_t& v : sorted) {
-    v = static_cast<int64_t>(rng.NextBelow(60));
-  }
-  std::sort(sorted.begin(), sorted.end());
-
-  std::vector<int64_t> whole(n);
-  const size_t n_whole = simd::DedupI64(sorted.data(), n, nullptr, whole.data());
-  for (const size_t cut : {size_t{1}, size_t{7}, size_t{128}, size_t{999}}) {
-    std::vector<int64_t> parts(n);
-    const size_t a = simd::DedupI64(sorted.data(), cut, nullptr, parts.data());
-    const int64_t carry = sorted[cut - 1];
-    const size_t b = simd::DedupI64(sorted.data() + cut, n - cut, &carry, parts.data() + a);
-    ASSERT_EQ(a + b, n_whole) << "cut=" << cut;
-    EXPECT_TRUE(std::equal(parts.begin(), parts.begin() + n_whole, whole.begin()));
   }
 }
 

@@ -84,10 +84,10 @@ BENCHES = {
     "vectorize_sort": {
         "keys": ["op", "impl"],
         "metrics": [
-            # Two impls timed in the same process: the ratio is portable across hosts of the
-            # same ISA. min_baseline keeps the sub-scalar reference rows (std_sort, qsort, and
-            # non-AVX2 hosts where kVector falls back to scalar) out of the gate.
-            Metric("speedup_vs_scalar", portable=True, tolerance=0.35, min_baseline=1.2),
+            # SortI64/MergeI64 against std::sort/std::merge timed in the same process: the ratio
+            # is portable across hosts of the same ISA. min_baseline keeps the reference rows
+            # (std_sort and std_merge at 1.0, qsort below it) out of the gate.
+            Metric("speedup_vs_std", portable=True, tolerance=0.35, min_baseline=1.2),
             Metric("mkeys_per_sec"),
         ],
         "require": {},

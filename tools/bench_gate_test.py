@@ -164,23 +164,23 @@ def test_fig7_scaling_with_no_usable_rows_fails():
     assert any("scaling check found no rows" in f for f in failures), failures
 
 
-def vs_row(op="sort", impl="vectorized", speedup=2.5, mkeys=90.0):
-    return {"op": op, "impl": impl, "avx2": True, "seconds": 0.01,
-            "mkeys_per_sec": mkeys, "speedup_vs_scalar": speedup}
+def vs_row(op="sort", impl="sbt", speedup=2.9, mkeys=90.0):
+    return {"op": op, "impl": impl, "seconds": 0.01, "mkeys_per_sec": mkeys,
+            "speedup_vs_std": speedup}
 
 
 def test_vectorize_sort_speedup_regression_fails():
-    base = [vs_row(speedup=2.5)]
-    cur = [vs_row(speedup=1.0)]  # vectorized collapsed to scalar speed
+    base = [vs_row(speedup=2.9)]
+    cur = [vs_row(speedup=1.0)]  # SortI64 collapsed to std::sort speed
     failures, _ = run_compare(base, cur, bench="vectorize_sort")
-    assert any("speedup_vs_scalar" in f for f in failures), failures
+    assert any("speedup_vs_std" in f for f in failures), failures
 
 
-def test_vectorize_sort_sub_scalar_reference_rows_not_gated():
-    # qsort sits far below scalar; min_baseline keeps that ratio out of the gate even
-    # when it drifts.
-    base = [vs_row(impl="qsort", speedup=0.3)]
-    cur = [vs_row(impl="qsort", speedup=0.1)]
+def test_vectorize_sort_reference_rows_not_gated():
+    # std::sort is its own reference (1.0) and qsort sits below it; min_baseline keeps both
+    # ratios out of the gate even when they drift.
+    base = [vs_row(impl="std_sort", speedup=1.0), vs_row(impl="qsort", speedup=0.45)]
+    cur = [vs_row(impl="std_sort", speedup=1.0), vs_row(impl="qsort", speedup=0.2)]
     failures, _ = run_compare(base, cur, bench="vectorize_sort")
     assert failures == [], failures
 
