@@ -5,15 +5,14 @@
 namespace sbt {
 
 Sha256Digest AuditUploadMac(const AesKey& mac_key, const AuditUpload& upload) {
-  std::vector<uint8_t> image;
-  image.reserve(kSha256DigestSize + sizeof(uint64_t) + upload.compressed.size());
-  image.insert(image.end(), upload.chain_prev.begin(), upload.chain_prev.end());
+  // HMAC(chain_prev || chain_seq_le || compressed).
+  IncrementalHmacSha256 hmac(std::span<const uint8_t>(mac_key.data(), mac_key.size()));
+  hmac.Update(std::span<const uint8_t>(upload.chain_prev.data(), upload.chain_prev.size()));
   uint8_t seq_le[sizeof(uint64_t)];
   std::memcpy(seq_le, &upload.chain_seq, sizeof(seq_le));
-  image.insert(image.end(), seq_le, seq_le + sizeof(seq_le));
-  image.insert(image.end(), upload.compressed.begin(), upload.compressed.end());
-  return HmacSha256(std::span<const uint8_t>(mac_key.data(), mac_key.size()),
-                    std::span<const uint8_t>(image.data(), image.size()));
+  hmac.Update(std::span<const uint8_t>(seq_le, sizeof(seq_le)));
+  hmac.Update(std::span<const uint8_t>(upload.compressed.data(), upload.compressed.size()));
+  return hmac.Finalize();
 }
 
 Status AuditChainVerifier::Accept(const AuditUpload& upload) {

@@ -27,11 +27,13 @@ std::vector<uint8_t> HeaderImage(const SealedCheckpoint& sealed) {
   return w.Take();
 }
 
+// HMAC(header image || ciphertext), fed in two parts so the ciphertext is never copied.
 Sha256Digest SealMac(const AesKey& mac_key, const SealedCheckpoint& sealed) {
-  std::vector<uint8_t> image = HeaderImage(sealed);
-  image.insert(image.end(), sealed.ciphertext.begin(), sealed.ciphertext.end());
-  return HmacSha256(std::span<const uint8_t>(mac_key.data(), mac_key.size()),
-                    std::span<const uint8_t>(image.data(), image.size()));
+  const std::vector<uint8_t> header = HeaderImage(sealed);
+  IncrementalHmacSha256 hmac(std::span<const uint8_t>(mac_key.data(), mac_key.size()));
+  hmac.Update(std::span<const uint8_t>(header.data(), header.size()));
+  hmac.Update(std::span<const uint8_t>(sealed.ciphertext.data(), sealed.ciphertext.size()));
+  return hmac.Finalize();
 }
 
 // Fresh 12-byte CTR nonce per seal, derived from the MAC key and the random per-seal salt.

@@ -1,7 +1,6 @@
 #include "src/crypto/session.h"
 
 #include <cstring>
-#include <vector>
 
 namespace sbt {
 namespace {
@@ -41,18 +40,15 @@ SessionKey DeriveSessionKey(const AesKey& mac_key, uint32_t tenant, uint32_t sou
 
 SessionTag SessionMac(const SessionKey& key, std::string_view label,
                       std::span<const uint8_t> message) {
-  Sha256Digest full;
-  {
-    // HMAC over label || 0x00 || message; the explicit separator keeps (label, message)
-    // pairings unambiguous even for labels that are prefixes of each other.
-    std::vector<uint8_t> buf;
-    buf.reserve(label.size() + 1 + message.size());
-    buf.insert(buf.end(), label.begin(), label.end());
-    buf.push_back(0);
-    buf.insert(buf.end(), message.begin(), message.end());
-    full = HmacSha256(std::span<const uint8_t>(key.data(), key.size()),
-                      std::span<const uint8_t>(buf.data(), buf.size()));
-  }
+  // HMAC over label || 0x00 || message; the explicit separator keeps (label, message)
+  // pairings unambiguous even for labels that are prefixes of each other.
+  IncrementalHmacSha256 hmac(std::span<const uint8_t>(key.data(), key.size()));
+  hmac.Update(std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(label.data()),
+                                       label.size()));
+  const uint8_t separator = 0;
+  hmac.Update(std::span<const uint8_t>(&separator, 1));
+  hmac.Update(message);
+  const Sha256Digest full = hmac.Finalize();
   SessionTag tag;
   std::memcpy(tag.data(), full.data(), tag.size());
   return tag;

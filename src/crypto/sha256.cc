@@ -3,6 +3,11 @@
 #include <cstring>
 #include <vector>
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace sbt {
 namespace {
 
@@ -35,48 +40,130 @@ void Sha256::Reset() {
   buffered_ = 0;
 }
 
-void Sha256::ProcessBlock(const uint8_t block[kSha256BlockSize]) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<uint32_t>(block[i * 4]) << 24) |
-           (static_cast<uint32_t>(block[i * 4 + 1]) << 16) |
-           (static_cast<uint32_t>(block[i * 4 + 2]) << 8) |
-           static_cast<uint32_t>(block[i * 4 + 3]);
+void Sha256CompressPortable(uint32_t state[8], const uint8_t* data, size_t blocks) {
+  for (; blocks > 0; --blocks, data += kSha256BlockSize) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<uint32_t>(data[i * 4]) << 24) |
+             (static_cast<uint32_t>(data[i * 4 + 1]) << 16) |
+             (static_cast<uint32_t>(data[i * 4 + 2]) << 8) |
+             static_cast<uint32_t>(data[i * 4 + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      const uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+      const uint32_t ch = (e & f) ^ (~e & g);
+      const uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
+      const uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+      const uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
   }
-  for (int i = 16; i < 64; ++i) {
-    const uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+}
+
+#if defined(__x86_64__)
+
+// SHA-NI: each sha256rnds2 runs two rounds on the state held as two halves, ABEF and CDGH
+// (register names list 32-bit lanes from high to low); sha256msg1/msg2 extend the message
+// schedule four words at a time.
+__attribute__((target("sha,sse4.1"))) void Sha256CompressShaNi(uint32_t state[8],
+                                                               const uint8_t* data,
+                                                               size_t blocks) {
+  const __m128i byte_swap = _mm_set_epi64x(0x0c0d0e0f08090a0bll, 0x0405060700010203ll);
+  const __m128i cdab =
+      _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i efgh =
+      _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; blocks > 0; --blocks, data += kSha256BlockSize) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];  // w[g % 4]: message words 4g .. 4g+3
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      __m128i m;
+      if (g < 4) {
+        m = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)), byte_swap);
+      } else {
+        // W[t] = s1(W[t-2]) + W[t-7] + s0(W[t-15]) + W[t-16]: groups g-4, g-3 (msg1), the
+        // words t-7 straddling groups g-2 and g-1, and g-1 again (msg2).
+        m = _mm_sha256msg1_epu32(w[g & 3], w[(g + 1) & 3]);
+        m = _mm_add_epi32(m, _mm_alignr_epi8(w[(g + 3) & 3], w[(g + 2) & 3], 4));
+        m = _mm_sha256msg2_epu32(m, w[(g + 3) & 3]);
+      }
+      w[g & 3] = m;
+      __m128i wk =
+          _mm_add_epi32(m, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * g)));
+      // Two rounds each; the halves trade places, so after the pair abef/cdgh hold their names.
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      wk = _mm_shuffle_epi32(wk, 0x0E);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
   }
 
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
 
-  for (int i = 0; i < 64; ++i) {
-    const uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    const uint32_t ch = (e & f) ^ (~e & g);
-    const uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-    const uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    const uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
+#endif  // __x86_64__
+
+bool HardwareShaSupported() {
+#if defined(__x86_64__)
+  // CPUID read directly (leaf 7 EBX.SHA, leaf 1 ECX.SSE4.1): __builtin_cpu_supports does not
+  // take the "sha" name on every compiler this builds with.
+  static const bool supported = [] {
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0 || (ebx & bit_SHA) == 0) {
+      return false;
+    }
+    return __get_cpuid(1, &eax, &ebx, &ecx, &edx) != 0 && (ecx & bit_SSE4_1) != 0;
+  }();
+  return supported;
+#else
+  return false;
+#endif
+}
+
+void Sha256::Compress(const uint8_t* data, size_t blocks) {
+#if defined(__x86_64__)
+  if (HardwareShaSupported()) {
+    Sha256CompressShaNi(state_, data, blocks);
+    return;
   }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+#endif
+  Sha256CompressPortable(state_, data, blocks);
 }
 
 void Sha256::Update(std::span<const uint8_t> data) {
@@ -89,13 +176,14 @@ void Sha256::Update(std::span<const uint8_t> data) {
     buffered_ += take;
     pos = take;
     if (buffered_ == kSha256BlockSize) {
-      ProcessBlock(buffer_);
+      Compress(buffer_, 1);
       buffered_ = 0;
     }
   }
-  while (pos + kSha256BlockSize <= data.size()) {
-    ProcessBlock(data.data() + pos);
-    pos += kSha256BlockSize;
+  const size_t blocks = (data.size() - pos) / kSha256BlockSize;
+  if (blocks > 0) {
+    Compress(data.data() + pos, blocks);
+    pos += blocks * kSha256BlockSize;
   }
   if (pos < data.size()) {
     std::memcpy(buffer_, data.data() + pos, data.size() - pos);
@@ -133,7 +221,7 @@ Sha256Digest Sha256::Hash(std::span<const uint8_t> data) {
   return h.Finalize();
 }
 
-Sha256Digest HmacSha256(std::span<const uint8_t> key, std::span<const uint8_t> message) {
+IncrementalHmacSha256::IncrementalHmacSha256(std::span<const uint8_t> key) {
   uint8_t key_block[kSha256BlockSize] = {0};
   if (key.size() > kSha256BlockSize) {
     const Sha256Digest kh = Sha256::Hash(key);
@@ -148,16 +236,20 @@ Sha256Digest HmacSha256(std::span<const uint8_t> key, std::span<const uint8_t> m
     ipad[i] = key_block[i] ^ 0x36;
     opad[i] = key_block[i] ^ 0x5c;
   }
+  inner_.Update(std::span<const uint8_t>(ipad, sizeof(ipad)));
+  outer_.Update(std::span<const uint8_t>(opad, sizeof(opad)));
+}
 
-  Sha256 inner;
-  inner.Update(std::span<const uint8_t>(ipad, sizeof(ipad)));
-  inner.Update(message);
-  const Sha256Digest inner_digest = inner.Finalize();
+Sha256Digest IncrementalHmacSha256::Finalize() {
+  const Sha256Digest inner_digest = inner_.Finalize();
+  outer_.Update(std::span<const uint8_t>(inner_digest.data(), inner_digest.size()));
+  return outer_.Finalize();
+}
 
-  Sha256 outer;
-  outer.Update(std::span<const uint8_t>(opad, sizeof(opad)));
-  outer.Update(std::span<const uint8_t>(inner_digest.data(), inner_digest.size()));
-  return outer.Finalize();
+Sha256Digest HmacSha256(std::span<const uint8_t> key, std::span<const uint8_t> message) {
+  IncrementalHmacSha256 hmac(key);
+  hmac.Update(message);
+  return hmac.Finalize();
 }
 
 Sha256Digest DeriveTagged(std::span<const uint8_t> key, std::string_view label,

@@ -1,7 +1,9 @@
 // SHA-256 and HMAC-SHA256, implemented from scratch (FIPS 180-4 / RFC 2104).
 //
 // Used to sign egress results and compressed audit-record uploads so the cloud consumer can
-// verify both came from the attested data plane.
+// verify both came from the attested data plane, and to MAC sealed checkpoints and session
+// handshakes. The compression function runs on the SHA extensions (SHA-NI) where CPUID
+// reports them, chosen once per process; the portable loop serves every other host.
 
 #ifndef SRC_CRYPTO_SHA256_H_
 #define SRC_CRYPTO_SHA256_H_
@@ -20,6 +22,16 @@ inline constexpr size_t kSha256BlockSize = 64;
 
 using Sha256Digest = std::array<uint8_t, kSha256DigestSize>;
 
+// The SHA-256 compression function: folds `blocks` consecutive 64-byte blocks into `state`.
+// Sha256 calls the SHA-NI form when HardwareShaSupported(), else the portable loop; both are
+// declared here so tests can hold each against the FIPS vectors and the other on any host.
+void Sha256CompressPortable(uint32_t state[8], const uint8_t* data, size_t blocks);
+#if defined(__x86_64__)
+// Requires HardwareShaSupported().
+void Sha256CompressShaNi(uint32_t state[8], const uint8_t* data, size_t blocks);
+#endif
+bool HardwareShaSupported();
+
 // Incremental SHA-256.
 class Sha256 {
  public:
@@ -33,7 +45,7 @@ class Sha256 {
   static Sha256Digest Hash(std::span<const uint8_t> data);
 
  private:
-  void ProcessBlock(const uint8_t block[kSha256BlockSize]);
+  void Compress(const uint8_t* data, size_t blocks);
 
   uint32_t state_[8];
   uint64_t total_bytes_ = 0;
@@ -43,6 +55,20 @@ class Sha256 {
 
 // HMAC-SHA256 (RFC 2104). Keys longer than the block size are hashed first.
 Sha256Digest HmacSha256(std::span<const uint8_t> key, std::span<const uint8_t> message);
+
+// Incremental HMAC-SHA256: the MAC of the concatenation of every Update, without building
+// that concatenation. Equals HmacSha256(key, part1 || part2 || ...).
+class IncrementalHmacSha256 {
+ public:
+  explicit IncrementalHmacSha256(std::span<const uint8_t> key);
+
+  void Update(std::span<const uint8_t> data) { inner_.Update(data); }
+  Sha256Digest Finalize();
+
+ private:
+  Sha256 inner_;  // keyed with ipad
+  Sha256 outer_;  // keyed with opad
+};
 
 // Labeled single-block derivation (HKDF-expand style): HMAC(key, label || counter_le).
 // Derives per-use material — e.g. the sealed-checkpoint CTR nonce per chain position — from a

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "src/common/logging.h"
+#include "src/common/rng.h"
 
 namespace sbt {
 
@@ -19,7 +20,9 @@ SourceSequencer::SourceSequencer(uint16_t stream, size_t event_size, size_t coal
 }
 
 void SourceSequencer::AddSource(uint32_t source) {
-  SBT_CHECK(!finalized_);
+  // A group that gained a second device after its first delivery would have packed some
+  // frames on arrival and buffer the rest: registration closes at the first delivery.
+  SBT_CHECK(!finalized_ && !delivered_);
   auto [it, inserted] = states_.emplace(source, SourceState{});
   SBT_CHECK(inserted);
   it->second.frontier_it = frontiers_.insert(0);
@@ -31,11 +34,20 @@ void SourceSequencer::BumpFrontier(SourceState& st, EventTimeMs value) {
   st.frontier = value;
 }
 
-void SourceSequencer::OnData(uint32_t source, std::vector<uint8_t> bytes, uint64_t ctr_offset) {
+void SourceSequencer::OnData(uint32_t source, std::span<const uint8_t> bytes,
+                             uint64_t ctr_offset) {
   auto it = states_.find(source);
   SBT_CHECK(it != states_.end() && !it->second.done);
+  delivered_ = true;
+  if (states_.size() == 1) {
+    // One device: no other device's watermark can move this frame's place in the flush order,
+    // so it packs now, exactly as FlushUpTo would pack it at the rung's watermark. A batch
+    // leaves as soon as the coalesce target cuts it; only the open partial batch waits.
+    Pack(bytes, ctr_offset);
+    return;
+  }
   Frame f;
-  f.bytes = std::move(bytes);
+  f.bytes.assign(bytes.begin(), bytes.end());
   f.ctr_offset = ctr_offset;
   it->second.buffer.push_back(std::move(f));
 }
@@ -43,6 +55,7 @@ void SourceSequencer::OnData(uint32_t source, std::vector<uint8_t> bytes, uint64
 void SourceSequencer::OnWatermark(uint32_t source, EventTimeMs value) {
   auto it = states_.find(source);
   SBT_CHECK(it != states_.end() && !it->second.done);
+  delivered_ = true;
   SourceState& st = it->second;
   if (value <= st.frontier) {
     return;  // regressed or repeated watermark: progress is monotone, drop it
@@ -61,6 +74,7 @@ void SourceSequencer::OnWatermark(uint32_t source, EventTimeMs value) {
 void SourceSequencer::OnDone(uint32_t source) {
   auto it = states_.find(source);
   SBT_CHECK(it != states_.end());
+  delivered_ = true;
   SourceState& st = it->second;
   if (st.done) {
     return;
@@ -95,7 +109,7 @@ void SourceSequencer::FlushUpTo(EventTimeMs group_min) {
     for (size_t i = 0; i < covered; ++i) {
       Frame& f = st.buffer.front();
       if (!f.is_watermark) {
-        Pack(std::move(f.bytes), f.ctr_offset);
+        Pack(f.bytes, f.ctr_offset);
       }
       st.buffer.pop_front();
     }
@@ -110,7 +124,7 @@ void SourceSequencer::Finalize() {
   for (auto& [id, st] : states_) {
     for (Frame& f : st.buffer) {
       if (!f.is_watermark) {
-        Pack(std::move(f.bytes), f.ctr_offset);
+        Pack(f.bytes, f.ctr_offset);
       }
     }
     st.buffer.clear();
@@ -130,7 +144,7 @@ void SourceSequencer::Abort() {
   finalized_ = true;
 }
 
-void SourceSequencer::Pack(std::vector<uint8_t> bytes, uint64_t ctr_offset) {
+void SourceSequencer::Pack(std::span<const uint8_t> bytes, uint64_t ctr_offset) {
   const size_t n = bytes.size();
   if (n == 0) {
     return;
@@ -139,6 +153,10 @@ void SourceSequencer::Pack(std::vector<uint8_t> bytes, uint64_t ctr_offset) {
   events_in_ += events;
   if (cur_events_ > 0 && cur_events_ + events > coalesce_events_) {
     CutBatch();
+  }
+  if (cur_events_ == 0) {
+    // One allocation per batch: the target size, or this frame alone if it is larger.
+    cur_bytes_.reserve(std::max(coalesce_events_ * event_size_, n));
   }
   if (!cur_segments_.empty() &&
       cur_segments_.back().ctr_offset + cur_segments_.back().byte_len == ctr_offset) {
@@ -232,7 +250,10 @@ struct IngressFrontend::Conn {
 };
 
 IngressFrontend::IngressFrontend(IngressConfig config, const TenantRegistry* registry)
-    : config_(config), registry_(registry), grouping_(config.num_shards) {
+    : config_(config),
+      registry_(registry),
+      grouping_(config.num_shards),
+      next_server_nonce_(UnpredictableSeed()) {
   SBT_CHECK(registry_ != nullptr);
 }
 
@@ -283,9 +304,11 @@ Status IngressFrontend::Provision(TenantId tenant, uint32_t source, uint16_t str
   dev->mac_key = spec->mac_key;
   // The boot nonce scopes datagram MACs to this deployment epoch: a packet captured before a
   // restart that rotates the nonce fails its MAC afterwards, instead of replaying into the
-  // reset seq window.
-  dev->dgram_key =
-      DeriveSessionKey(spec->mac_key, tenant, source, 0, config_.dgram_boot_nonce);
+  // reset seq window. Only DrainUdp reads the key, so a TCP-only frontend skips the HMAC.
+  if (config_.enable_udp) {
+    dev->dgram_key =
+        DeriveSessionKey(spec->mac_key, tenant, source, 0, config_.dgram_boot_nonce);
+  }
   devices_.emplace(dev_key, std::move(dev));
   ++provisioned_;
   return OkStatus();
@@ -380,12 +403,12 @@ IngressFrontend::Device* IngressFrontend::FindDevice(TenantId tenant, uint32_t s
 }
 
 void IngressFrontend::DeliverLocalData(TenantId tenant, uint32_t source,
-                                       std::vector<uint8_t> bytes, uint64_t ctr_offset) {
+                                       std::span<const uint8_t> bytes, uint64_t ctr_offset) {
   Device* dev = FindDevice(tenant, source);
   SBT_CHECK(dev != nullptr);
   stats_.frames.fetch_add(1, std::memory_order_relaxed);
   stats_.events.fetch_add(bytes.size() / dev->event_size, std::memory_order_relaxed);
-  dev->group->seq->OnData(source, std::move(bytes), ctr_offset);
+  dev->group->seq->OnData(source, bytes, ctr_offset);
 }
 
 void IngressFrontend::DeliverLocalWatermark(TenantId tenant, uint32_t source,
@@ -618,9 +641,7 @@ bool IngressFrontend::HandleMessage(Conn* conn, const wire::StreamMessage& msg) 
           stats_.frames.fetch_add(1, std::memory_order_relaxed);
           stats_.events.fetch_add(data->payload.size() / dev->event_size,
                                   std::memory_order_relaxed);
-          dev->group->seq->OnData(
-              dev->source, std::vector<uint8_t>(data->payload.begin(), data->payload.end()),
-              data->ctr_offset);
+          dev->group->seq->OnData(dev->source, data->payload, data->ctr_offset);
           return true;
         }
         case wire::MsgType::kWatermark: {
@@ -751,9 +772,7 @@ void IngressFrontend::DeliverInOrder(Device* dev, const wire::Dgram& dgram) {
       stats_.frames.fetch_add(1, std::memory_order_relaxed);
       stats_.events.fetch_add(dgram.payload.size() / dev->event_size,
                               std::memory_order_relaxed);
-      dev->group->seq->OnData(dev->source,
-                              std::vector<uint8_t>(dgram.payload.begin(), dgram.payload.end()),
-                              dgram.ctr_offset);
+      dev->group->seq->OnData(dev->source, dgram.payload, dgram.ctr_offset);
       break;
     case wire::DgramKind::kWatermark:
       dev->group->seq->OnWatermark(dev->source, static_cast<EventTimeMs>(dgram.watermark));

@@ -10,10 +10,13 @@
 //  streams: arrival interleaving across devices moves nothing, because a device's frames only
 //  flush once ALL devices have covered the rung, and flush order is fixed. This is what makes
 //  the audit chain and egress of a server fed over TCP byte-identical to one fed in-process
-//  from the same per-device streams.
+//  from the same per-device streams. A group of ONE device has no interleaving to wait out:
+//  its frames pack on arrival and each batch leaves as soon as the coalesce target cuts it,
+//  so only the open partial batch waits for the watermark. The pushed frames are the same
+//  bytes, segments and cut points the buffered flush would produce at that watermark.
 //
 //  IngressFrontend — session table plus transports. Devices are provisioned up front
-//  (tenant, source, stream), giving each a datagram key and a group home; unknown or
+//  (tenant, source, stream), giving each a group home and a datagram key (UDP only); unknown or
 //  wrong-tenant devices fail the handshake. One IO thread multiplexes the TCP listener, all
 //  connections, and the UDP socket via epoll. TCP: framed messages, strict per-device seq
 //  (duplicates dropped, holes fatal to the connection), churn-safe — device state survives
@@ -37,6 +40,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -61,14 +65,17 @@ class SourceSequencer {
 
   FrameChannel* channel() { return &channel_; }
 
-  // Registration happens before any delivery; device ids must be unique within the group.
+  // Registration happens before any delivery (checked: a single-device group packs on
+  // arrival, so a late second device would mix the two flush rules); device ids must be
+  // unique within the group.
   void AddSource(uint32_t source);
 
-  // Per-device stream events, in that device's order. OnData/OnWatermark may block on the
-  // group channel (admission backpressure). OnDone is the device's end-of-stream; once every
-  // registered device is done the sequencer flushes remainders, emits the final group
-  // watermark, and closes the channel.
-  void OnData(uint32_t source, std::vector<uint8_t> bytes, uint64_t ctr_offset);
+  // Per-device stream events, in that device's order. OnData copies `bytes` (into the open
+  // batch, or into the device's buffer). OnData/OnWatermark may block on the group channel
+  // (admission backpressure). OnDone is the device's end-of-stream; once every registered
+  // device is done the sequencer flushes remainders, emits the final group watermark, and
+  // closes the channel.
+  void OnData(uint32_t source, std::span<const uint8_t> bytes, uint64_t ctr_offset);
   void OnWatermark(uint32_t source, EventTimeMs value);
   void OnDone(uint32_t source);
 
@@ -95,7 +102,7 @@ class SourceSequencer {
   void Finalize();
   // Coalescing packer: appends one device frame to the open batch, cutting at the event
   // target; merges keystream-contiguous runs into one segment.
-  void Pack(std::vector<uint8_t> bytes, uint64_t ctr_offset);
+  void Pack(std::span<const uint8_t> bytes, uint64_t ctr_offset);
   void CutBatch();
   void PushWatermark(EventTimeMs value);
 
@@ -108,6 +115,7 @@ class SourceSequencer {
   std::multiset<EventTimeMs> frontiers_;
   EventTimeMs emitted_min_ = 0;
   size_t done_count_ = 0;
+  bool delivered_ = false;  // any OnData/OnWatermark/OnDone seen: registration is closed
   bool finalized_ = false;
 
   std::vector<uint8_t> cur_bytes_;
@@ -145,7 +153,7 @@ class IngressFrontend {
   IngressFrontend& operator=(const IngressFrontend&) = delete;
 
   // Declares one device. Creates its group (and group channel) on first contact; derives its
-  // datagram key. Must precede BindTo.
+  // datagram key when UDP is on. Must precede BindTo.
   Status Provision(TenantId tenant, uint32_t source, uint16_t stream = 0);
 
   // Binds every group channel as a server source. Must precede server->Start().
@@ -179,7 +187,7 @@ class IngressFrontend {
 
   // In-process delivery path: same grouping, same sequencers, no sockets. Single-threaded;
   // never mix with Start().
-  void DeliverLocalData(TenantId tenant, uint32_t source, std::vector<uint8_t> bytes,
+  void DeliverLocalData(TenantId tenant, uint32_t source, std::span<const uint8_t> bytes,
                         uint64_t ctr_offset);
   void DeliverLocalWatermark(TenantId tenant, uint32_t source, EventTimeMs value);
   void DeliverLocalDone(TenantId tenant, uint32_t source);
@@ -233,7 +241,11 @@ class IngressFrontend {
   std::map<int, std::unique_ptr<Conn>> conns_;
   std::thread io_thread_;
   std::atomic<bool> stop_{false};
-  uint64_t next_server_nonce_ = 0x5342544e4f4e4345ull;  // "SBTNONCE" seed, incremented per hello
+  // Handshake challenge counter, incremented per hello. Its start is drawn unpredictably per
+  // frontend, so a restarted process re-issues a challenge that a recorded Hello+Auth answered
+  // only with negligible probability (device seq windows reset with the process, so such a
+  // replay would be admitted).
+  uint64_t next_server_nonce_;
 
   std::atomic<size_t> done_devices_{0};
   size_t provisioned_ = 0;

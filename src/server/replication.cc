@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/common/rng.h"
 #include "src/crypto/session.h"
 #include "src/net/wire.h"
 
@@ -77,7 +78,7 @@ Status AsStatus(ReadOutcome outcome) {
 // --- publisher --------------------------------------------------------------------------
 
 ReplicationPublisher::ReplicationPublisher(AesKey link_key, Options options)
-    : link_key_(link_key), options_(options) {}
+    : link_key_(link_key), options_(options), next_server_nonce_(UnpredictableSeed()) {}
 
 ReplicationPublisher::~ReplicationPublisher() { Stop(); }
 

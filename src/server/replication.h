@@ -84,7 +84,10 @@ class ReplicationPublisher {
   uint16_t port_ = 0;
   net::Socket peer_;
   std::vector<uint8_t> recv_buffer_;
-  uint64_t next_server_nonce_ = 0x5342545245504e43ull;  // "SBTREPNC" seed
+  // Handshake challenge counter; starts unpredictably per publisher, so a standby handshake
+  // recorded against one primary process does not verify against a restarted one (where an
+  // impostor could then ack seals the real standby never applied).
+  uint64_t next_server_nonce_;
   uint64_t seals_published_ = 0;
   bool started_ = false;
 };

@@ -187,6 +187,100 @@ TEST(Sha256Test, IncrementalEqualsOneShot) {
   EXPECT_EQ(DigestToHex(h.Finalize()), DigestToHex(oneshot));
 }
 
+// --- the two compression functions ---------------------------------------------------------
+
+namespace {
+
+using CompressFn = void (*)(uint32_t state[8], const uint8_t* data, size_t blocks);
+
+// SHA-256 of `msg` through one compression function alone: FIPS 180-4 padding and initial
+// hash value spelled out here, so the Sha256 class's buffering is not under test.
+std::string DigestThrough(CompressFn compress, const std::vector<uint8_t>& msg) {
+  std::vector<uint8_t> padded = msg;
+  padded.push_back(0x80);
+  while (padded.size() % kSha256BlockSize != 56) {
+    padded.push_back(0);
+  }
+  const uint64_t bits = static_cast<uint64_t>(msg.size()) * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<uint8_t>(bits >> (i * 8)));
+  }
+  uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  compress(state, padded.data(), padded.size() / kSha256BlockSize);
+  Sha256Digest digest;
+  for (int i = 0; i < 8; ++i) {
+    for (int j = 0; j < 4; ++j) {
+      digest[i * 4 + j] = static_cast<uint8_t>(state[i] >> (24 - 8 * j));
+    }
+  }
+  return DigestToHex(digest);
+}
+
+std::vector<uint8_t> Bytes(const std::string& s) { return {s.begin(), s.end()}; }
+
+// FIPS 180-4 example messages (one block, two blocks, the 896-bit two-block message, and
+// 10^6 'a': 15,625 blocks in one call).
+void ExpectFipsVectors(CompressFn compress) {
+  EXPECT_EQ(DigestThrough(compress, {}),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(DigestThrough(compress, Bytes("abc")),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(DigestThrough(compress,
+                          Bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(DigestThrough(compress, Bytes("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijkl"
+                                          "mnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopq"
+                                          "rstu")),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+  EXPECT_EQ(DigestThrough(compress, std::vector<uint8_t>(1000000, 'a')),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+}  // namespace
+
+TEST(Sha256CompressTest, PortableMatchesFipsVectors) {
+  ExpectFipsVectors(&Sha256CompressPortable);
+}
+
+TEST(Sha256CompressTest, ShaNiMatchesFipsVectors) {
+#if defined(__x86_64__)
+  if (!HardwareShaSupported()) {
+    GTEST_SKIP() << "CPUID reports no SHA extensions on this host";
+  }
+  ExpectFipsVectors(&Sha256CompressShaNi);
+#else
+  GTEST_SKIP() << "SHA-NI is an x86-64 extension";
+#endif
+}
+
+// Random messages of 0 to 4,096 bytes, fed to Sha256 in random pieces (so partial blocks,
+// exact blocks and multi-block runs all reach whichever compression function Sha256 picked),
+// against the portable function alone and, where the CPU has it, the SHA-NI one alone.
+TEST(Sha256CompressTest, RandomSplitMessagesAgreeAcrossImplementations) {
+  Xoshiro256 rng(180);
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<uint8_t> msg(rng.NextBelow(4097));
+    for (auto& b : msg) {
+      b = static_cast<uint8_t>(rng.Next());
+    }
+    Sha256 h;
+    size_t pos = 0;
+    while (pos < msg.size()) {
+      const size_t n = std::min<size_t>(rng.NextBelow(200), msg.size() - pos);
+      h.Update(std::span<const uint8_t>(msg.data() + pos, n));
+      pos += n;
+    }
+    const std::string portable = DigestThrough(&Sha256CompressPortable, msg);
+    ASSERT_EQ(DigestToHex(h.Finalize()), portable) << "length " << msg.size();
+#if defined(__x86_64__)
+    if (HardwareShaSupported()) {
+      ASSERT_EQ(DigestThrough(&Sha256CompressShaNi, msg), portable) << "length " << msg.size();
+    }
+#endif
+  }
+}
+
 TEST(HmacSha256Test, Rfc4231Case1) {
   const auto key = std::vector<uint8_t>(20, 0x0b);
   const std::string msg = "Hi There";
@@ -225,6 +319,32 @@ TEST(HmacSha256Test, KeyLongerThanBlockIsHashed) {
       std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(msg.data()), msg.size()));
   EXPECT_EQ(DigestToHex(mac),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+// The incremental form is the one-shot MAC of the concatenated pieces, for short and
+// longer-than-a-block keys and any split (empty pieces included).
+TEST(HmacSha256Test, IncrementalEqualsOneShotOfConcatenation) {
+  Xoshiro256 rng(4231);
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<uint8_t> key(trial % 2 == 0 ? 16 : 131);
+    for (auto& b : key) {
+      b = static_cast<uint8_t>(rng.Next());
+    }
+    std::vector<uint8_t> msg(rng.NextBelow(3000));
+    for (auto& b : msg) {
+      b = static_cast<uint8_t>(rng.Next());
+    }
+    IncrementalHmacSha256 hmac(std::span<const uint8_t>(key.data(), key.size()));
+    size_t pos = 0;
+    do {
+      const size_t n = std::min<size_t>(rng.NextBelow(300), msg.size() - pos);
+      hmac.Update(std::span<const uint8_t>(msg.data() + pos, n));
+      pos += n;
+    } while (pos < msg.size());
+    EXPECT_TRUE(DigestEqual(hmac.Finalize(),
+                            HmacSha256(std::span<const uint8_t>(key.data(), key.size()),
+                                       std::span<const uint8_t>(msg.data(), msg.size()))));
+  }
 }
 
 TEST(DigestEqualTest, EqualAndUnequal) {

@@ -327,6 +327,28 @@ TEST(ReplicationLinkTest, WrongLinkKeyFailsTheMutualHandshake) {
   publisher.Stop();
 }
 
+// The publisher's challenges start unpredictably too: a standby handshake recorded against one
+// primary process cannot be replayed to a restarted one, where an impostor could otherwise ack
+// seals the real standby never applied.
+TEST(ReplicationLinkTest, FreshPublishersIssueDifferentChallenges) {
+  wire::Hello hello;  // the standby's identity: tenant 0, source 0
+  hello.client_nonce = 7;
+  std::vector<uint64_t> challenges;
+  for (int i = 0; i < 2; ++i) {
+    ReplicationPublisher publisher(LinkKey());
+    ASSERT_TRUE(publisher.Start().ok());
+    Status published = OkStatus();
+    std::thread publish([&] { published = publisher.Publish(SealArtifact{}); });
+    const auto challenge = testing::HelloChallenge(publisher.port(), hello);
+    publish.join();
+    EXPECT_FALSE(published.ok());  // the peer hung up instead of authenticating
+    publisher.Stop();
+    ASSERT_TRUE(challenge.has_value());
+    challenges.push_back(*challenge);
+  }
+  EXPECT_NE(challenges[0], challenges[1]);
+}
+
 // --- the chaos drill ---------------------------------------------------------------------
 
 // Kill the primary's only shard mid-window under live device-fleet TCP ingest, with continuous

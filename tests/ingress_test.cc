@@ -5,15 +5,11 @@
 // egress to one fed the same per-device streams in-process.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -191,6 +187,114 @@ TEST(SourceSequencerTest, CutsBatchesAtTheCoalesceTargetAndDropsRegressedWaterma
   EXPECT_EQ(frames[1].segments[0].ctr_offset, 16u);
   EXPECT_TRUE(frames[2].is_watermark);
   EXPECT_EQ(frames[2].watermark, 100u);
+}
+
+// One step of a single device's stream, with how many frames the step must leave in the
+// channel of a single-device group that packs on arrival.
+struct Step {
+  enum class Kind { kData, kWatermark, kDone } kind;
+  size_t events = 0;  // kData: 4-byte events
+  uint64_t ctr_offset = 0;
+  EventTimeMs watermark = 0;
+  size_t pushed = 0;
+};
+
+std::vector<Step> SingleDeviceScript() {
+  using K = Step::Kind;
+  return {
+      {K::kData, 2, 0, 0, 0},
+      {K::kData, 2, 8, 0, 0},
+      {K::kData, 3, 16, 0, 1},  // cut mid-rung: 2+2 leaves before the watermark
+      {K::kData, 1, 100, 0, 0},  // keystream gap: a second segment in the open batch
+      {K::kWatermark, 0, 0, 100, 2},
+      {K::kWatermark, 0, 0, 100, 0},  // repeated: dropped
+      {K::kWatermark, 0, 0, 50, 0},  // regressed: dropped
+      {K::kData, 5, 104, 0, 0},  // one frame over the target opens a batch alone
+      {K::kData, 1, 124, 0, 1},
+      {K::kWatermark, 0, 0, 200, 2},
+      {K::kData, 2, 128, 0, 0},
+      {K::kDone, 0, 0, 0, 1},  // the partial batch leaves at end-of-stream
+  };
+}
+
+void Apply(SourceSequencer* seq, uint32_t source, const Step& step) {
+  switch (step.kind) {
+    case Step::Kind::kData:
+      seq->OnData(source,
+                  std::vector<uint8_t>(step.events * 4, static_cast<uint8_t>(step.ctr_offset)),
+                  step.ctr_offset);
+      break;
+    case Step::Kind::kWatermark:
+      seq->OnWatermark(source, step.watermark);
+      break;
+    case Step::Kind::kDone:
+      seq->OnDone(source);
+      break;
+  }
+}
+
+// A single-device group hands each batch to the engine as soon as the coalesce target cuts it,
+// before the watermark that closes its rung, and pushes exactly what the buffered path pushes.
+// The reference is the buffered path: the same stream through a two-device group whose second
+// device sends only the same watermarks, so every frame waits for its rung there.
+TEST(SourceSequencerTest, SingleSourcePacksOnArrivalAndMatchesTheBufferedPath) {
+  const auto script = SingleDeviceScript();
+
+  SourceSequencer streamed(0, /*event_size=*/4, /*coalesce_events=*/4, /*channel_capacity=*/64);
+  streamed.AddSource(7);
+  std::vector<DrainedFrame> streamed_frames;
+  for (size_t i = 0; i < script.size(); ++i) {
+    Apply(&streamed, 7, script[i]);
+    const auto pushed = Drain(streamed.channel());
+    EXPECT_EQ(pushed.size(), script[i].pushed) << "step " << i;
+    streamed_frames.insert(streamed_frames.end(), pushed.begin(), pushed.end());
+  }
+  ASSERT_TRUE(streamed.finalized());
+
+  SourceSequencer buffered(0, 4, 4, 64);
+  buffered.AddSource(7);
+  buffered.AddSource(8);
+  for (const Step& step : script) {
+    Apply(&buffered, 7, step);
+    if (step.kind != Step::Kind::kData) {
+      Apply(&buffered, 8, step);
+    }
+  }
+  ASSERT_TRUE(buffered.finalized());
+  const auto buffered_frames = Drain(buffered.channel());
+
+  ASSERT_EQ(streamed_frames.size(), buffered_frames.size());
+  for (size_t i = 0; i < streamed_frames.size(); ++i) {
+    EXPECT_TRUE(streamed_frames[i] == buffered_frames[i]) << "frame " << i;
+  }
+  EXPECT_EQ(streamed.events_in(), buffered.events_in());
+  EXPECT_EQ(streamed.batches_out(), buffered.batches_out());
+
+  // Shape: batches {2+2}, {3 | gap | 1}, wm 100, {5}, {1}, wm 200, {2}.
+  ASSERT_EQ(streamed_frames.size(), 7u);
+  EXPECT_EQ(streamed_frames[0].bytes.size(), 16u);
+  ASSERT_EQ(streamed_frames[1].segments.size(), 2u);
+  EXPECT_EQ(streamed_frames[1].segments[1].ctr_offset, 100u);
+  EXPECT_TRUE(streamed_frames[2].is_watermark);
+  EXPECT_EQ(streamed_frames[2].watermark, 100u);
+  EXPECT_EQ(streamed_frames[3].bytes.size(), 20u);
+  EXPECT_TRUE(streamed_frames[5].is_watermark);
+  EXPECT_EQ(streamed_frames[5].watermark, 200u);
+  EXPECT_EQ(streamed_frames[6].bytes.size(), 8u);
+}
+
+// Registration closes at the first delivery: a group that packed frames on arrival as a single
+// device cannot become a buffered two-device group.
+TEST(SourceSequencerDeathTest, AddSourceAfterFirstDeliveryAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        SourceSequencer seq(0, 4, 4, 8);
+        seq.AddSource(1);
+        seq.OnData(1, std::vector<uint8_t>(8, 1), 0);
+        seq.AddSource(2);
+      },
+      "SBT_CHECK failed");
 }
 
 // --- end-to-end over loopback ------------------------------------------------------------
@@ -479,38 +583,29 @@ TEST(IngressAuthTest, WrongTenantKeyAndUnknownDeviceAreRejected) {
   EXPECT_EQ(stats.events, 0u);
 }
 
-// Blocking read of one framed server reply off a (blocking) client socket.
-bool ReadReply(const net::Socket& sock, wire::MsgType* type, std::vector<uint8_t>* body) {
-  auto read_exact = [&](std::span<uint8_t> buf) {
-    size_t off = 0;
-    while (off < buf.size()) {
-      const ssize_t rc = ::read(sock.fd(), buf.data() + off, buf.size() - off);
-      if (rc <= 0) {
-        if (rc < 0 && errno == EINTR) {
-          continue;
-        }
-        return false;
-      }
-      off += static_cast<size_t>(rc);
-    }
-    return true;
-  };
-  uint8_t prefix[wire::kLengthPrefixBytes];
-  if (!read_exact(std::span<uint8_t>(prefix, sizeof(prefix)))) {
-    return false;
+// Handshake challenges start unpredictably per process: two identically provisioned frontends
+// (a restart, in effect) answer the same Hello with different challenges, so a Hello+Auth
+// recorded before a restart never verifies against the restarted frontend.
+TEST(IngressAuthTest, FreshFrontendsIssueDifferentChallenges) {
+  TenantRegistry registry;
+  ASSERT_TRUE(registry.Add(MakeTenantSpec(1, "sensors", MakeWinSum(1000), 8u << 20)).ok());
+  IngressConfig in_cfg;
+  in_cfg.num_shards = 1;
+  wire::Hello hello;
+  hello.tenant = 1;
+  hello.source = 0;
+  hello.client_nonce = 7;
+  std::vector<uint64_t> challenges;
+  for (int i = 0; i < 2; ++i) {
+    IngressFrontend frontend(in_cfg, &registry);
+    ASSERT_TRUE(frontend.Provision(1, /*source=*/0).ok());
+    ASSERT_TRUE(frontend.Start().ok());
+    const auto challenge = testing::HelloChallenge(frontend.tcp_port(), hello);
+    frontend.Stop();
+    ASSERT_TRUE(challenge.has_value());
+    challenges.push_back(*challenge);
   }
-  uint32_t len = 0;
-  std::memcpy(&len, prefix, sizeof(len));
-  if (len < 1 || len > wire::kMaxMessageBytes) {
-    return false;
-  }
-  std::vector<uint8_t> payload(len);
-  if (!read_exact(payload)) {
-    return false;
-  }
-  *type = static_cast<wire::MsgType>(payload[0]);
-  body->assign(payload.begin() + 1, payload.end());
-  return true;
+  EXPECT_NE(challenges[0], challenges[1]);
 }
 
 // A device that delivered its final end-of-stream cannot rejoin: the reconnect handshake
@@ -547,7 +642,7 @@ TEST(IngressAuthTest, ReconnectAfterFinalByeIsRejected) {
   ASSERT_TRUE(net::WriteAll(*sock, out).ok());
   wire::MsgType type;
   std::vector<uint8_t> body;
-  ASSERT_TRUE(ReadReply(*sock, &type, &body));
+  ASSERT_TRUE(testing::ReadWireReply(*sock, &type, &body));
   EXPECT_EQ(type, wire::MsgType::kReject);
 
   // The refused reconnect perturbed nothing: the stream's events are all there and the

@@ -1,5 +1,10 @@
 #include "tests/testing/testing.h"
 
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
 #include <utility>
 
@@ -194,6 +199,60 @@ void TamperUndeclaredEgress(std::vector<AuditRecord>& records) {
 void TamperEarlyProcessing(std::vector<AuditRecord>& records) {
   // Window 1 is processed although no watermark closed it.
   records.push_back({.op = PrimitiveOp::kMergeN, .ts_ms = 90, .inputs = {21}, .outputs = {40}});
+}
+
+bool ReadWireReply(const net::Socket& sock, wire::MsgType* type, std::vector<uint8_t>* body) {
+  auto read_exact = [&](std::span<uint8_t> buf) {
+    size_t off = 0;
+    while (off < buf.size()) {
+      const ssize_t rc = ::read(sock.fd(), buf.data() + off, buf.size() - off);
+      if (rc <= 0) {
+        if (rc < 0 && errno == EINTR) {
+          continue;
+        }
+        return false;
+      }
+      off += static_cast<size_t>(rc);
+    }
+    return true;
+  };
+  uint8_t prefix[wire::kLengthPrefixBytes];
+  if (!read_exact(std::span<uint8_t>(prefix, sizeof(prefix)))) {
+    return false;
+  }
+  uint32_t len = 0;
+  std::memcpy(&len, prefix, sizeof(len));
+  if (len < 1 || len > wire::kMaxMessageBytes) {
+    return false;
+  }
+  std::vector<uint8_t> payload(len);
+  if (!read_exact(payload)) {
+    return false;
+  }
+  *type = static_cast<wire::MsgType>(payload[0]);
+  body->assign(payload.begin() + 1, payload.end());
+  return true;
+}
+
+std::optional<uint64_t> HelloChallenge(uint16_t port, const wire::Hello& hello) {
+  auto sock = net::TcpConnect(port);
+  if (!sock.ok()) {
+    return std::nullopt;
+  }
+  // A server that never answers fails the caller's check instead of hanging the test.
+  const timeval reply_timeout{.tv_sec = 10, .tv_usec = 0};
+  (void)::setsockopt(sock->fd(), SOL_SOCKET, SO_RCVTIMEO, &reply_timeout, sizeof(reply_timeout));
+  std::vector<uint8_t> out;
+  wire::AppendHello(&out, hello);
+  if (!net::WriteAll(*sock, out).ok()) {
+    return std::nullopt;
+  }
+  wire::MsgType type;
+  std::vector<uint8_t> body;
+  if (!ReadWireReply(*sock, &type, &body) || type != wire::MsgType::kChallenge) {
+    return std::nullopt;
+  }
+  return wire::DecodeChallenge(body);
 }
 
 }  // namespace testing

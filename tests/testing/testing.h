@@ -7,6 +7,7 @@
 #define TESTS_TESTING_TESTING_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -18,6 +19,8 @@
 #include "src/control/harness.h"
 #include "src/core/data_plane.h"
 #include "src/net/generator.h"
+#include "src/net/socket.h"
+#include "src/net/wire.h"
 #include "src/tz/tzasc.h"
 
 namespace sbt {
@@ -108,6 +111,13 @@ void TamperFabricatedReference(std::vector<AuditRecord>& records); // consume un
 void TamperDoubleProduction(std::vector<AuditRecord>& records);    // re-emit existing id
 void TamperUndeclaredEgress(std::vector<AuditRecord>& records);    // exfiltrate raw data
 void TamperEarlyProcessing(std::vector<AuditRecord>& records);     // process before watermark
+
+// Blocking read of one framed server reply off a (blocking) client socket.
+bool ReadWireReply(const net::Socket& sock, wire::MsgType* type, std::vector<uint8_t>* body);
+
+// Connects to a handshake server on loopback `port`, sends `hello`, and returns the server
+// nonce of the Challenge it answers with (nullopt on any other reply); then hangs up.
+std::optional<uint64_t> HelloChallenge(uint16_t port, const wire::Hello& hello);
 
 }  // namespace testing
 }  // namespace sbt
