@@ -98,6 +98,8 @@ void RunTable4() {
       {"crypto (trusted)", {"src/crypto"}, true},
       {"TEE substrate emu (trusted)", {"src/tz"}, true},
       {"control plane (untrusted)", {"src/control"}, false},
+      {"serving layer (untrusted)", {"src/server"}, false},
+      {"observability (untrusted)", {"src/obs"}, false},
       {"net/generator (untrusted)", {"src/net"}, false},
       {"baselines (untrusted)", {"src/baseline"}, false},
       {"attest verifier (cloud-side)", {"src/attest"}, false},

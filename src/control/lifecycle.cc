@@ -26,7 +26,7 @@ Result<DataPlane::CheckpointBundle> EngineLifecycle::Checkpoint(
 }
 
 Result<std::vector<uint8_t>> EngineLifecycle::Restore(const SealedCheckpoint& sealed) {
-  SBT_ASSIGN_OR_RETURN(const std::vector<uint8_t> annex, dp_->Restore(sealed));
+  SBT_ASSIGN_OR_RETURN(const std::vector<uint8_t> annex, dp_->ApplySeal(sealed));
   return AdoptState(std::span<const uint8_t>(annex.data(), annex.size()));
 }
 

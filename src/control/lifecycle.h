@@ -10,12 +10,12 @@
 //       results (already egressed — ciphertext, safe outside the seal), and seal the runner's
 //       window bookkeeping together with the caller's opaque server annex inside the data
 //       plane's checkpoint. kDelta seals only state dirtied since the engine's previous seal.
-//   EngineLifecycle::Restore     — reverse a FULL seal into a freshly constructed pair built
-//       from the same configs, returning the server annex.
+//   EngineLifecycle::Restore     — apply a seal to a freshly constructed pair built from the
+//       same configs (DataPlane::ApplySeal, so a full seal), returning the server annex.
 //   EngineLifecycle::AdoptState  — the promote-path splice: the data plane already carries
-//       applied state (ReplicaSession restored it and pre-applied deltas as they streamed in);
-//       a freshly constructed runner adopts the latest control annex. Restore() is exactly
-//       DataPlane::Restore + AdoptState.
+//       applied state (ReplicaSession applied the full seal and every delta after it through
+//       the same DataPlane::ApplySeal as they streamed in); a freshly constructed runner adopts
+//       the latest control annex. Restore() is exactly DataPlane::ApplySeal + AdoptState.
 //
 // Server-scope lifecycle (whole shards, replication, promotion) is EdgeServer::Checkpoint /
 // EdgeServer::Restore / ReplicaSession (src/server/replica.h), both of which consume this API.
@@ -47,12 +47,13 @@ class EngineLifecycle {
   Result<DataPlane::CheckpointBundle> Checkpoint(const CheckpointRequest& request,
                                                  std::vector<WindowResult>* results = nullptr);
 
-  // Restores a FULL seal into this freshly constructed pair (same configs); returns the
-  // server annex. Delta seals apply through ReplicaSession / DataPlane::ApplyDelta.
+  // Applies a seal to this freshly constructed pair (same configs) through DataPlane::ApplySeal
+  // and returns the server annex. A fresh plane holds no base, so only a full seal applies here;
+  // deltas stream through ReplicaSession.
   Result<std::vector<uint8_t>> Restore(const SealedCheckpoint& sealed);
 
   // Promote-path splice: the paired data plane already holds applied state; the freshly
-  // constructed runner adopts `engine_annex` (the control annex a Restore/ApplyDelta on that
+  // constructed runner adopts `engine_annex` (the control annex the last ApplySeal on that
   // plane returned). Returns the server annex.
   Result<std::vector<uint8_t>> AdoptState(std::span<const uint8_t> engine_annex);
 

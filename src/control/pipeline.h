@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/attest/verifier.h"
+#include "src/common/logging.h"
 #include "src/core/data_plane.h"
 #include "src/primitives/registry.h"
 
@@ -54,7 +55,12 @@ class Pipeline {
     return *this;
   }
 
+  // Close stages are single-output: a close ticket reserves one audit id per stage, which
+  // keeps close-stage ids independent of the execution schedule, and one slot ref names each
+  // stage's output when the close DAG fuses. kSegment's output count is data-dependent, so it
+  // is refused here; pipelines are declared in code, so this is a programming error.
   Pipeline& AtWindowClose(WindowStageSpec stage) {
+    SBT_CHECK(stage.op != PrimitiveOp::kSegment);
     window_stages_.push_back(std::move(stage));
     return *this;
   }

@@ -28,16 +28,6 @@ Runner::Runner(DataPlane* data_plane, Pipeline pipeline, RunnerConfig config)
   SBT_CHECK(config_.knobs.worker_threads > 0);
   // Compile the per-batch chain once; RunChain stamps it into a CmdBuffer per segment.
   chain_template_ = pipeline_.CompileBatchChain();
-  // A multi-output close stage (kSegment) defeats the one-id-per-stage reservation that keeps
-  // audit ids schedule-independent; such pipelines run correctly but their close-stage ids
-  // follow the execution schedule. No benchmark pipeline does this — warn loudly if one does.
-  for (const WindowStageSpec& stage : pipeline_.window_stages()) {
-    close_ids_reservable_ = close_ids_reservable_ && stage.op != PrimitiveOp::kSegment;
-  }
-  if (!close_ids_reservable_ && config_.knobs.worker_threads > 1) {
-    SBT_LOG(Error) << "window-close DAG contains a multi-output stage: close-stage audit ids "
-                      "will be schedule-dependent at worker_threads > 1";
-  }
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   m_queue_depth_ = reg.GetGauge("sbt_runner_queue_depth", config_.metric_labels);
   m_finished_closes_ = reg.GetGauge("sbt_runner_finished_closes", config_.metric_labels);
@@ -334,8 +324,7 @@ Status Runner::AdvanceWatermark(EventTimeMs value) {
   // with no runner lock held (a full retire ring waits for a close that needs wmu_ to be
   // queued and cmu_ to egress); windows are marked only once their tickets exist, so a chain
   // finishing in between cannot queue a close that has no ticket yet.
-  const uint32_t stage_ids =
-      close_ids_reservable_ ? static_cast<uint32_t>(pipeline_.window_stages().size()) : 0;
+  const auto stage_ids = static_cast<uint32_t>(pipeline_.window_stages().size());
   std::vector<uint32_t> closing;
   {
     std::lock_guard<std::mutex> lock(wmu_);
@@ -417,13 +406,9 @@ void Runner::CloseWindow(uint32_t window_index, WindowState state) {
     return inputs;
   };
 
-  // A slot ref names ONE output, so fusion requires every stage to be single-output; Segment
-  // is the lone multi-output primitive, and a DAG using it falls back to the unfused loop
-  // (which fans out however many outputs appear).
-  bool fuse = config_.knobs.fuse_chains && !stages.empty();
-  for (const WindowStageSpec& stage : stages) {
-    fuse = fuse && stage.op != PrimitiveOp::kSegment;
-  }
+  // A slot ref names ONE output; every close stage is single-output (Pipeline::AtWindowClose
+  // refuses kSegment), so any close DAG fuses.
+  const bool fuse = config_.knobs.fuse_chains && !stages.empty();
 
   // The close chain itself executes HERE, on whatever worker picked this task up, possibly
   // while younger windows' closes are already done — out-of-order window execution is the

@@ -207,11 +207,6 @@ class Runner {
   // The per-batch chain, compiled once at construction and stamped into a CmdBuffer per
   // segment (fused mode).
   CmdChainTemplate chain_template_;
-  // False when the window-close DAG contains a multi-output stage (kSegment): its output
-  // count is data-dependent, so close tickets reserve no ids and close-stage outputs draw
-  // from the shared counter — correct, but schedule-dependent at worker_threads > 1 (decided
-  // once at construction, warned about there).
-  bool close_ids_reservable_ = true;
 
   // Task pool.
   std::mutex qmu_;

@@ -35,11 +35,15 @@ namespace sbt {
 // v3: the clear header carries the full engine identity (tenant / engine / shard) plus the seal
 // mode and, for delta seals, the base chain position the delta applies on top of — all bound
 // under the MAC. v2 seals are refused at the version gate.
-inline constexpr uint32_t kCheckpointVersion = 3;
+// v4: one payload layout for both modes. A full seal is written as a delta from the empty base
+// (an empty tombstone list, then every live entry as an addition), so its payload changed; the
+// delta payload keeps its fields. v3 seals are refused at the version gate.
+inline constexpr uint32_t kCheckpointVersion = 4;
 
-// Full seal = complete quiesced engine state. Delta seal = only uArrays created (and a
-// tombstone list for uArrays retired) since the engine's previous seal; it applies only on top
-// of a plane whose audit chain sits exactly at the delta's base position.
+// Full seal = complete quiesced engine state: the delta from the empty base. Delta seal = only
+// uArrays created (and a tombstone list for uArrays retired) since the engine's previous seal;
+// it applies only on top of a plane whose audit chain sits exactly at the delta's base position.
+// DataPlane::ApplySeal applies either; the mode selects only that precondition.
 enum class SealMode : uint8_t {
   kFull = 0,
   kDelta = 1,

@@ -23,8 +23,7 @@ constexpr uint32_t kRestoreLanes = 16;
 
 // Leading payload marker: detects key mixups (wrong tenant key decrypts to noise) before any
 // per-entry parsing, on the off chance the MAC was also forged to match.
-constexpr uint32_t kCheckpointMagic = 0x43544253u;  // "SBTC"
-constexpr uint32_t kDeltaMagic = 0x44544253u;       // "SBTD" — delta-seal payload
+constexpr uint32_t kPayloadMagic = 0x43544253u;  // "SBTC"
 
 // Cache maintenance on a world-shared buffer (OP-TEE flushes shared memory at the boundary so
 // the secure side reads coherent data). On x86 we flush the same lines explicitly.
@@ -823,65 +822,51 @@ Result<DataPlane::CheckpointBundle> DataPlane::Checkpoint(std::span<const uint8_
   CheckpointBundle bundle;
   bundle.audit = FlushAuditImpl(nullptr);
 
-  // Serializes one full table entry (the unit both full payloads and delta additions carry).
-  const auto write_entry = [](ByteWriter* out, OpaqueRef ref,
-                              const OpaqueRefTable::Entry& entry, const UArray* array) {
-    out->U64(ref);
-    out->U64(entry.array_id);
-    out->U16(entry.stream);
-    out->U8(static_cast<uint8_t>(array->scope()));
-    out->U64(array->elem_size());
-    out->Blob(std::span<const uint8_t>(array->data(), array->size_bytes()));
-  };
-
-  // A delta is only expressible relative to a previous seal; ids never being reused and
-  // Produced uArrays being immutable reduce "dirty since" to set difference against the ids
-  // the previous seal covered. Without a base, fall back to a full seal (sealed.mode says so).
+  // One payload layout for both modes: the scalar positions, a tombstone for every id the base
+  // held that is gone, a full entry for every live id the base lacks, and the annex. The base
+  // is the previous seal's id set for a delta (ids are never reused and Produced uArrays are
+  // immutable, so "dirtied since" is set difference) and empty otherwise: a full seal is the
+  // delta from nothing. A delta requested with no previous seal falls back to full.
   const bool delta = mode == SealMode::kDelta && has_seal_base_;
-  ByteWriter w;
-  if (delta) {
-    w.U32(kDeltaMagic);
-    w.U64(alloc_.next_array_id());
-    w.U64(egress_ctr_offset_.load(std::memory_order_relaxed));
-    w.F64(adaptive_threshold_.load(std::memory_order_relaxed));
-    w.F64(last_utilization_.load(std::memory_order_relaxed));
-    std::set<uint64_t> live_ids;
-    for (const auto& [ref, entry] : refs) {
-      live_ids.insert(entry.array_id);
-    }
-    std::vector<uint64_t> tombstones;  // sealed_ids_ is id-ordered, so this stays sorted
-    for (const auto& [id, ref] : sealed_ids_) {
-      if (live_ids.count(id) == 0) {
-        tombstones.push_back(id);
-      }
-    }
-    w.U64(tombstones.size());
-    for (const uint64_t id : tombstones) {
-      w.U64(id);
-    }
-    size_t additions = 0;
-    for (const auto& [ref, entry] : refs) {
-      additions += sealed_ids_.count(entry.array_id) == 0 ? 1 : 0;
-    }
-    w.U64(additions);
-    for (size_t i = 0; i < refs.size(); ++i) {
-      if (sealed_ids_.count(refs[i].second.array_id) == 0) {
-        write_entry(&w, refs[i].first, refs[i].second, arrays[i]);
-      }
-    }
-    w.Blob(control_annex);
-  } else {
-    w.U32(kCheckpointMagic);
-    w.U64(alloc_.next_array_id());
-    w.U64(egress_ctr_offset_.load(std::memory_order_relaxed));
-    w.F64(adaptive_threshold_.load(std::memory_order_relaxed));
-    w.F64(last_utilization_.load(std::memory_order_relaxed));
-    w.U64(refs.size());
-    for (size_t i = 0; i < refs.size(); ++i) {
-      write_entry(&w, refs[i].first, refs[i].second, arrays[i]);
-    }
-    w.Blob(control_annex);
+  const std::map<uint64_t, OpaqueRef> no_base;
+  const std::map<uint64_t, OpaqueRef>& base = delta ? sealed_ids_ : no_base;
+  std::set<uint64_t> live_ids;
+  for (const auto& [ref, entry] : refs) {
+    live_ids.insert(entry.array_id);
   }
+  ByteWriter w;
+  w.U32(kPayloadMagic);
+  w.U64(alloc_.next_array_id());
+  w.U64(egress_ctr_offset_.load(std::memory_order_relaxed));
+  w.F64(adaptive_threshold_.load(std::memory_order_relaxed));
+  w.F64(last_utilization_.load(std::memory_order_relaxed));
+  std::vector<uint64_t> tombstones;  // the base is id-ordered, so this stays sorted
+  for (const auto& [id, ref] : base) {
+    if (!live_ids.contains(id)) {
+      tombstones.push_back(id);
+    }
+  }
+  w.U64(tombstones.size());
+  for (const uint64_t id : tombstones) {
+    w.U64(id);
+  }
+  std::vector<size_t> additions;  // indices into refs (and arrays)
+  for (size_t i = 0; i < refs.size(); ++i) {
+    if (!base.contains(refs[i].second.array_id)) {
+      additions.push_back(i);
+    }
+  }
+  w.U64(additions.size());
+  for (const size_t i : additions) {
+    const auto& [ref, entry] = refs[i];
+    w.U64(ref);
+    w.U64(entry.array_id);
+    w.U16(entry.stream);
+    w.U8(static_cast<uint8_t>(arrays[i]->scope()));
+    w.U64(arrays[i]->elem_size());
+    w.Blob(std::span<const uint8_t>(arrays[i]->data(), arrays[i]->size_bytes()));
+  }
+  w.Blob(control_annex);
   const std::vector<uint8_t> plaintext = w.Take();
 
   uint64_t seq = 0;
@@ -893,15 +878,14 @@ Result<DataPlane::CheckpointBundle> DataPlane::Checkpoint(std::span<const uint8_
   }
   // The delta's base is the *previous* seal's position; this seal then becomes the base for
   // the next one.
-  const uint64_t base_seq = seal_base_seq_;
-  const Sha256Digest base_head = seal_base_head_;
   EngineIdentity identity = config_.identity;
   identity.chain_seq = seq;
   identity.chain_head = head;
   bundle.sealed = SealCheckpoint(std::span<const uint8_t>(plaintext.data(), plaintext.size()),
                                  config_.egress_key, config_.mac_key,
                                  delta ? SealMode::kDelta : SealMode::kFull, identity,
-                                 delta ? base_seq : 0, delta ? base_head : Sha256Digest{});
+                                 delta ? seal_base_seq_ : 0,
+                                 delta ? seal_base_head_ : Sha256Digest{});
   sealed_ids_.clear();
   for (const auto& [ref, entry] : refs) {
     sealed_ids_.emplace(entry.array_id, ref);
@@ -913,21 +897,29 @@ Result<DataPlane::CheckpointBundle> DataPlane::Checkpoint(std::span<const uint8_
   return bundle;
 }
 
-Result<std::vector<uint8_t>> DataPlane::Restore(const SealedCheckpoint& sealed) {
+Result<std::vector<uint8_t>> DataPlane::ApplySeal(const SealedCheckpoint& sealed) {
   std::lock_guard<std::mutex> admission(admission_mu_);
   auto session = gate_.Enter();
-  if (refs_.live_count() != 0 || audit_records_.load(std::memory_order_relaxed) != 0 ||
-      audit_chain_seq() != 0) {
-    return FailedPrecondition("restore into a data plane that has already processed data");
-  }
-  if (sealed.mode != SealMode::kFull) {
-    return FailedPrecondition(
-        "restore requires a full seal; a delta applies on top of its base (ApplyDelta)");
+  // The mode selects the precondition and nothing else. A full seal is the delta from the empty
+  // base, so it needs a plane that holds nothing; a delta applies only on top of the exact
+  // seal it was cut against — position is MAC-bound in the header, so a reordered, replayed,
+  // or forked delta fails here deterministically.
+  if (sealed.mode == SealMode::kFull) {
+    if (refs_.live_count() != 0 || audit_records_.load(std::memory_order_relaxed) != 0 ||
+        audit_chain_seq() != 0) {
+      return FailedPrecondition("full seal applied to a plane that has already processed data");
+    }
+  } else if (!has_seal_base_) {
+    return FailedPrecondition("delta applied to a plane holding no base seal");
+  } else if (audit_chain_seq() != sealed.base_chain_seq ||
+             !DigestEqual(audit_chain_head(), sealed.base_chain_head)) {
+    return DataLoss(
+        "delta seal base position does not match this plane (reordered, replayed, or forked "
+        "delta chain)");
   }
 
   SBT_ASSIGN_OR_RETURN(const std::vector<uint8_t> plaintext,
                        UnsealCheckpoint(sealed, config_.egress_key, config_.mac_key));
-
   ByteReader r(std::span<const uint8_t>(plaintext.data(), plaintext.size()));
   const Status malformed = DataLoss("sealed checkpoint payload is malformed");
   uint32_t magic = 0;
@@ -935,120 +927,27 @@ Result<std::vector<uint8_t>> DataPlane::Restore(const SealedCheckpoint& sealed) 
   uint64_t egress_offset = 0;
   double adaptive_threshold = 0;
   double last_utilization = 0;
-  uint64_t entry_count = 0;
-  if (!r.U32(&magic) || magic != kCheckpointMagic || !r.U64(&next_array_id) ||
-      !r.U64(&egress_offset) || !r.F64(&adaptive_threshold) || !r.F64(&last_utilization) ||
-      !r.U64(&entry_count)) {
-    return malformed;
-  }
-  for (uint64_t i = 0; i < entry_count; ++i) {
-    uint64_t ref = 0;
-    uint64_t array_id = 0;
-    uint16_t stream = 0;
-    uint8_t scope = 0;
-    uint64_t elem_size = 0;
-    uint64_t byte_count = 0;
-    std::span<const uint8_t> bytes;
-    if (!r.U64(&ref) || !r.U64(&array_id) || !r.U16(&stream) || !r.U8(&scope) ||
-        !r.U64(&elem_size) || !r.U64(&byte_count) || !r.View(byte_count, &bytes)) {
-      return malformed;
-    }
-    if (scope > static_cast<uint8_t>(UArrayScope::kTemporary) || elem_size == 0 ||
-        bytes.size() % elem_size != 0) {
-      return malformed;
-    }
-    const PlacementHint hint =
-        PlacementHint::Parallel(kRestoreLaneBase + static_cast<uint32_t>(array_id) %
-                                                       kRestoreLanes);
-    SBT_ASSIGN_OR_RETURN(UArray * array,
-                         alloc_.RestoreArray(array_id, elem_size,
-                                             static_cast<UArrayScope>(scope), hint));
-    const Status appended = array->Append(bytes.data(), bytes.size());
-    if (!appended.ok()) {
-      alloc_.Retire(array);
-      return appended;  // kResourceExhausted: checkpointed state exceeds this partition
-    }
-    array->Produce();
-    SBT_RETURN_IF_ERROR(refs_.RegisterExisting(ref, array_id, stream));
-    sealed_ids_.emplace(array_id, ref);
-  }
-  std::vector<uint8_t> annex;
-  if (!r.Blob(&annex) || !r.exhausted()) {
-    return malformed;
-  }
-
-  alloc_.AdvanceNextArrayId(next_array_id);
-  egress_ctr_offset_.store(egress_offset, std::memory_order_relaxed);
-  adaptive_threshold_.store(adaptive_threshold, std::memory_order_relaxed);
-  last_utilization_.store(last_utilization, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(audit_mu_);
-    chain_seq_ = sealed.identity.chain_seq;
-    chain_head_ = sealed.identity.chain_head;
-  }
-  // The restored seal becomes this plane's delta base: a promoted standby (or a restored
-  // primary) can emit deltas immediately.
-  has_seal_base_ = true;
-  seal_base_seq_ = sealed.identity.chain_seq;
-  seal_base_head_ = sealed.identity.chain_head;
-  return annex;
-}
-
-Result<std::vector<uint8_t>> DataPlane::ApplyDelta(const SealedCheckpoint& sealed) {
-  std::lock_guard<std::mutex> admission(admission_mu_);
-  auto session = gate_.Enter();
-  if (sealed.mode != SealMode::kDelta) {
-    return FailedPrecondition("ApplyDelta requires a delta seal (got a full seal — use Restore)");
-  }
-  if (!has_seal_base_) {
-    return FailedPrecondition("delta applied to a plane holding no base seal");
-  }
-  // The delta-seal chain rule: a delta applies only on top of the exact seal it was cut
-  // against. Position is MAC-bound in the header, so a reordered, replayed, or forked delta
-  // fails here deterministically.
-  {
-    std::lock_guard<std::mutex> lock(audit_mu_);
-    if (chain_seq_ != sealed.base_chain_seq ||
-        !DigestEqual(chain_head_, sealed.base_chain_head)) {
-      return DataLoss(
-          "delta seal base position does not match this replica (reordered, replayed, or "
-          "forked delta chain)");
-    }
-  }
-
-  SBT_ASSIGN_OR_RETURN(const std::vector<uint8_t> plaintext,
-                       UnsealCheckpoint(sealed, config_.egress_key, config_.mac_key));
-  ByteReader r(std::span<const uint8_t>(plaintext.data(), plaintext.size()));
-  const Status malformed = DataLoss("delta seal payload is malformed");
-  uint32_t magic = 0;
-  uint64_t next_array_id = 0;
-  uint64_t egress_offset = 0;
-  double adaptive_threshold = 0;
-  double last_utilization = 0;
   uint64_t tombstone_count = 0;
-  if (!r.U32(&magic) || magic != kDeltaMagic || !r.U64(&next_array_id) ||
+  if (!r.U32(&magic) || magic != kPayloadMagic || !r.U64(&next_array_id) ||
       !r.U64(&egress_offset) || !r.F64(&adaptive_threshold) || !r.F64(&last_utilization) ||
       !r.U64(&tombstone_count)) {
     return malformed;
   }
-  // Validate the whole payload before mutating anything: a rejected delta must leave the
-  // replica's base state byte-for-byte intact so the retransmitted (or correct successor)
-  // delta still applies.
-  std::vector<uint64_t> tombstones;
-  tombstones.reserve(tombstone_count);
-  std::set<uint64_t> tombstoned;
+  // Validate the whole payload before mutating anything: a rejected seal must leave the
+  // plane's base state byte-for-byte intact so the retransmitted (or correct successor) seal
+  // still applies.
+  std::set<uint64_t> tombstones;
   for (uint64_t i = 0; i < tombstone_count; ++i) {
     uint64_t id = 0;
     if (!r.U64(&id)) {
       return malformed;
     }
-    if (sealed_ids_.find(id) == sealed_ids_.end() || !tombstoned.insert(id).second) {
-      return malformed;  // tombstone for an id this replica never held, or a duplicate
+    if (!sealed_ids_.contains(id) || !tombstones.insert(id).second) {
+      return malformed;  // tombstone for an id this plane never held, or a duplicate
     }
     if (alloc_.Find(id) == nullptr) {
-      return Internal("replica base holds an id with no live uArray");
+      return Internal("seal base holds an id with no live uArray");
     }
-    tombstones.push_back(id);
   }
   uint64_t addition_count = 0;
   if (!r.U64(&addition_count)) {
@@ -1063,7 +962,6 @@ Result<std::vector<uint8_t>> DataPlane::ApplyDelta(const SealedCheckpoint& seale
     std::span<const uint8_t> bytes;
   };
   std::vector<Addition> additions;
-  additions.reserve(addition_count);
   for (uint64_t i = 0; i < addition_count; ++i) {
     Addition add;
     uint64_t byte_count = 0;
@@ -1072,9 +970,9 @@ Result<std::vector<uint8_t>> DataPlane::ApplyDelta(const SealedCheckpoint& seale
       return malformed;
     }
     // Array ids are never reused, so an addition can never collide with a tombstone; it must
-    // be new to this replica outright.
+    // be new to this plane outright.
     if (add.scope > static_cast<uint8_t>(UArrayScope::kTemporary) || add.elem_size == 0 ||
-        add.bytes.size() % add.elem_size != 0 || sealed_ids_.count(add.array_id) != 0) {
+        add.bytes.size() % add.elem_size != 0 || sealed_ids_.contains(add.array_id)) {
       return malformed;
     }
     additions.push_back(add);
@@ -1100,7 +998,7 @@ Result<std::vector<uint8_t>> DataPlane::ApplyDelta(const SealedCheckpoint& seale
     const Status appended = array->Append(add.bytes.data(), add.bytes.size());
     if (!appended.ok()) {
       alloc_.Retire(array);
-      return appended;  // kResourceExhausted: delta state exceeds this partition
+      return appended;  // kResourceExhausted: the sealed state exceeds this partition
     }
     array->Produce();
     SBT_RETURN_IF_ERROR(refs_.RegisterExisting(add.ref, add.array_id, add.stream));
@@ -1116,6 +1014,9 @@ Result<std::vector<uint8_t>> DataPlane::ApplyDelta(const SealedCheckpoint& seale
     chain_seq_ = sealed.identity.chain_seq;
     chain_head_ = sealed.identity.chain_head;
   }
+  // The applied seal becomes this plane's delta base: a promoted standby (or a restored
+  // primary) can emit deltas immediately.
+  has_seal_base_ = true;
   seal_base_seq_ = sealed.identity.chain_seq;
   seal_base_head_ = sealed.identity.chain_head;
   return annex;

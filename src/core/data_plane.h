@@ -258,27 +258,24 @@ class DataPlane {
   // (a command buffer is atomic with respect to checkpoints), and the Status message plus the
   // reason-labeled sbt_checkpoint_refusals_total counter name which guard tripped.
   //
-  // mode == kDelta seals only the change since this plane's previous seal: full entries for
-  // uArrays created since, a tombstone list for uArrays retired since (sound because ids are
-  // never reused and a Produced uArray is immutable), and the scalar positions. A delta
-  // requested before any seal exists falls back to a full seal — check sealed.mode.
+  // Both modes write one payload layout: a delta against a base id set — tombstones for the
+  // uArrays retired since the base, full entries for those created since (sound because ids are
+  // never reused and a Produced uArray is immutable), and the scalar positions. mode == kDelta
+  // takes this plane's previous seal as the base; kFull takes the empty base, so every live
+  // entry is an addition. A delta requested before any seal exists falls back to a full seal —
+  // check sealed.mode.
   Result<CheckpointBundle> Checkpoint(std::span<const uint8_t> control_annex = {},
                                       SealMode mode = SealMode::kFull);
 
-  // Restores a sealed FULL checkpoint into this freshly constructed data plane (same tenant
-  // keys) and returns the control annex. Tampered or truncated seals fail with kDataLoss;
-  // restoring into a non-fresh data plane (or from a delta seal) fails with
-  // kFailedPrecondition; a partition too small for the checkpointed state fails with
-  // kResourceExhausted (discard the instance on any failure).
-  Result<std::vector<uint8_t>> Restore(const SealedCheckpoint& sealed);
-
-  // Applies a delta seal on top of previously restored state (standby replica path, or a
-  // restored primary catching up through a seal chain). The delta's base position must equal
-  // this plane's current chain position exactly — a reordered, replayed, or forked delta fails
-  // with kDataLoss and leaves no partial mutation observable to a subsequent retry only if the
-  // caller discards the instance (treat any failure as fatal to the replica). Returns the
-  // control annex sealed with the delta.
-  Result<std::vector<uint8_t>> ApplyDelta(const SealedCheckpoint& sealed);
+  // Applies one seal (same tenant keys) and returns its control annex. The mode selects only the
+  // precondition: a kFull seal needs a freshly constructed plane, a kDelta seal a plane whose
+  // chain sits exactly at the delta's base position (a standby replica, or a restored primary
+  // catching up through a seal chain). One validate-then-mutate pass follows, so a seal that is
+  // rejected leaves the plane as it was. A delta onto a plane with no base, or a full seal onto
+  // a used plane, fails with kFailedPrecondition; a tampered, truncated, reordered, replayed, or
+  // forked seal with kDataLoss; a partition too small for the sealed state with
+  // kResourceExhausted (discard the instance: that one is found only while mutating).
+  Result<std::vector<uint8_t>> ApplySeal(const SealedCheckpoint& sealed);
 
   // Audit chain position: sequence number of the next upload and MAC of the last one.
   uint64_t audit_chain_seq() const;
@@ -435,7 +432,7 @@ class DataPlane {
   obs::Counter* m_refuse_uarray_;    // reason="open_uarray"
 
   // --- delta-seal base tracking (guarded by admission_mu_) ---
-  // Array ids included in this plane's previous seal (or restored/applied baseline), mapped to
+  // Array ids included in this plane's previous seal (or the last seal applied to it), mapped to
   // their table refs so a delta can tombstone retired ids. Sound because array ids are
   // monotonic (never reused) and a Produced uArray is immutable: "dirtied since the last seal"
   // reduces to set difference on ids.

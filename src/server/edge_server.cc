@@ -136,19 +136,24 @@ EdgeServer::EdgeServer(EdgeServerConfig config, TenantRegistry registry)
   SBT_CHECK(config_.frontend_threads > 0);
   SBT_CHECK(config_.workers_per_engine > 0);
   SBT_CHECK(config_.shard_queue_frames > 0);
-  shard_partition_bytes_ = config_.host_secure_budget_bytes / config_.num_shards;
-  shards_.reserve(config_.num_shards);
-  for (uint32_t s = 0; s < config_.num_shards; ++s) {
+  ResetFleet(config_.num_shards);
+}
+
+void EdgeServer::ResetFleet(uint32_t num_shards) {
+  router_ = ShardRouter(num_shards);
+  shard_partition_bytes_ = config_.host_secure_budget_bytes / num_shards;
+  shards_.clear();
+  for (uint32_t s = 0; s < num_shards; ++s) {
     auto shard = std::make_unique<Shard>();
     shard->index = s;
     shard->slice_bytes = shard_partition_bytes_;
-    shard->queue = std::make_unique<BoundedChannel<RoutedFrame>>(config_.shard_queue_frames);
-    AttachQueueGauge(*shard);
     shards_.push_back(std::move(shard));
   }
 }
 
-void EdgeServer::AttachQueueGauge(Shard& shard) {
+void EdgeServer::StartShard(Shard& shard) {
+  SBT_CHECK(shard.state == ShardState::kStopped);
+  shard.queue = std::make_unique<BoundedChannel<RoutedFrame>>(config_.shard_queue_frames);
   shard.queue->SetDepthGauge(obs::MetricsRegistry::Global().GetGauge(
       "sbt_shard_queue_depth", {{"shard", std::to_string(shard.index)}}));
   // Queue space freeing is the wake signal an admission-stalled frontend is waiting for; ping
@@ -159,6 +164,45 @@ void EdgeServer::AttachQueueGauge(Shard& shard) {
       PingIngest();
     }
   });
+  shard.dispatcher = std::thread([this, s = &shard] { DispatchLoop(s); });
+  shard.state = ShardState::kServing;
+}
+
+void EdgeServer::StopShard(Shard& shard) {
+  if (shard.state == ShardState::kStopped) {
+    return;
+  }
+  // Close-then-join drains every frame already routed to this shard into its engines.
+  shard.queue->Close();
+  shard.dispatcher.join();
+  shard.state = ShardState::kStopped;
+}
+
+void EdgeServer::RebuildRouting(Shard& shard) {
+  shard.by_source.clear();
+  shard.carved_bytes = 0;
+  for (auto& engine : shard.engines) {
+    shard.carved_bytes += engine->partition_bytes;
+    for (const auto& [source, watermark] : engine->source_watermarks) {
+      shard.by_source[SourceKey(engine->tenant, source)] = engine.get();
+    }
+  }
+}
+
+void EdgeServer::UpdateSourceFlow() {
+  for (auto& src : sources_) {
+    const Shard* home = nullptr;  // the shard the source's engine is resident on
+    for (const auto& shard : shards_) {
+      if (shard->by_source.contains(SourceKey(src->tenant, src->id))) {
+        home = shard.get();
+        break;
+      }
+    }
+    // A source with no resident engine keeps its last home, clamped into a shrunk fleet: at
+    // shutdown its frames drain (and drop) there.
+    src->shard = home != nullptr ? home->index : std::min(src->shard, num_shards() - 1);
+    src->suspended = !stopped_ && (home == nullptr || home->state != ShardState::kServing);
+  }
 }
 
 EdgeServer::~EdgeServer() {
@@ -195,10 +239,12 @@ ReplicaSession::Options EdgeServer::ReplicaOptions() const {
   return opts;
 }
 
-Result<EdgeServer::Engine*> EdgeServer::CreateEngine(Shard& shard, const TenantSpec& spec,
-                                                     const EngineIdentity& identity) {
+Result<std::unique_ptr<EdgeServer::Engine>> EdgeServer::BuildEngine(
+    const Shard& shard, const TenantSpec& spec, const EngineIdentity& identity,
+    std::unique_ptr<DataPlane> dp, const Engine* replaces) {
   const size_t partition_bytes = EnginePartitionBytes(spec);
-  if (shard.carved_bytes + partition_bytes > shard.slice_bytes) {
+  const size_t yielded_bytes = replaces != nullptr ? replaces->partition_bytes : 0;
+  if (shard.carved_bytes - yielded_bytes + partition_bytes > shard.slice_bytes) {
     return ResourceExhausted("tenant " + spec.name + " quota oversubscribes shard " +
                              std::to_string(shard.index));
   }
@@ -209,7 +255,8 @@ Result<EdgeServer::Engine*> EdgeServer::CreateEngine(Shard& shard, const TenantS
   // freely: the grant changes throughput only, never the audit chain or egress bytes.
   int workers = spec.worker_threads > 0 ? spec.worker_threads : config_.workers_per_engine;
   if (config_.host_worker_budget > 0) {
-    const int remaining = config_.host_worker_budget - WorkersAllocated();
+    const int yielded_workers = replaces != nullptr ? replaces->worker_threads : 0;
+    const int remaining = config_.host_worker_budget - WorkersAllocated() + yielded_workers;
     workers = std::max(1, std::min(workers, remaining));
   }
 
@@ -217,10 +264,11 @@ Result<EdgeServer::Engine*> EdgeServer::CreateEngine(Shard& shard, const TenantS
   // runner intern carries the tenant and its current shard home. A re-homed engine re-creates
   // here with its new shard label; the old series simply stops moving.
   const obs::MetricLabels labels = EngineMetricLabels(spec.name, shard.index);
-
-  // The data-plane config comes from the shared recipe every construction site uses.
-  const DataPlaneConfig dp_cfg = MakeEngineDataPlaneConfig(
-      spec, identity, config_.switch_cost, config_.logical_audit_timestamps, labels);
+  if (dp == nullptr) {
+    // The data-plane config comes from the shared recipe every construction site uses.
+    dp = std::make_unique<DataPlane>(MakeEngineDataPlaneConfig(
+        spec, identity, config_.switch_cost, config_.logical_audit_timestamps, labels));
+  }
 
   RunnerConfig rc;
   rc.knobs.worker_threads = workers;
@@ -229,19 +277,16 @@ Result<EdgeServer::Engine*> EdgeServer::CreateEngine(Shard& shard, const TenantS
   // kShed tenants drop at the data-plane door instead of blocking inside IngestFrame.
   rc.block_on_backpressure = spec.admission == AdmissionPolicy::kStall;
 
-  auto owned = std::make_unique<Engine>();
-  owned->engine_id = identity.engine_id;
-  owned->tenant = spec.id;
-  owned->admission = spec.admission;
-  owned->worker_threads = workers;
-  owned->partition_bytes = partition_bytes;
-  owned->dp = std::make_unique<DataPlane>(dp_cfg);
-  owned->runner = std::make_unique<Runner>(owned->dp.get(), spec.pipeline, rc);
-  owned->committed_gauge =
+  auto engine = std::make_unique<Engine>();
+  engine->engine_id = identity.engine_id;
+  engine->tenant = spec.id;
+  engine->admission = spec.admission;
+  engine->worker_threads = workers;
+  engine->partition_bytes = partition_bytes;
+  engine->dp = std::move(dp);
+  engine->runner = std::make_unique<Runner>(engine->dp.get(), spec.pipeline, rc);
+  engine->committed_gauge =
       obs::MetricsRegistry::Global().GetGauge("sbt_engine_committed_bytes", labels);
-  shard.carved_bytes += partition_bytes;
-  Engine* engine = owned.get();
-  shard.engines.push_back(std::move(owned));
   return engine;
 }
 
@@ -289,16 +334,17 @@ Status EdgeServer::BindSource(TenantId tenant, uint32_t source, FrameChannel* ch
   if (engine == nullptr) {
     // First contact of this tenant with this shard: carve its partition out of the shard's
     // slice and instantiate the engine.
-    EngineIdentity identity;
-    identity.tenant = tenant;
-    identity.engine_id = next_engine_id_;
-    identity.shard = shard_index;
-    SBT_ASSIGN_OR_RETURN(engine, CreateEngine(shard, *spec, identity));
+    const EngineIdentity identity{.tenant = tenant, .engine_id = next_engine_id_,
+                                  .shard = shard_index};
+    SBT_ASSIGN_OR_RETURN(std::unique_ptr<Engine> built,
+                         BuildEngine(shard, *spec, identity, nullptr, nullptr));
+    engine = built.get();
+    shard.engines.push_back(std::move(built));
     ++next_engine_id_;
   }
   engine->source_watermarks.emplace(source, 0);
   engine->source_frames.emplace(source, 0);
-  shard.by_source[SourceKey(tenant, source)] = engine;
+  RebuildRouting(shard);
 
   auto src = std::make_unique<Source>();
   src->tenant = tenant;
@@ -325,8 +371,9 @@ Status EdgeServer::Start() {
     src->channel->SetListener([this] { PingIngest(); });
   }
   for (auto& shard : shards_) {
-    shard->dispatcher = std::thread([this, s = shard.get()] { DispatchLoop(s); });
+    StartShard(*shard);
   }
+  UpdateSourceFlow();
   const size_t frontends =
       std::min<size_t>(static_cast<size_t>(config_.frontend_threads), sources_.size());
   frontends_.reserve(frontends);
@@ -358,6 +405,9 @@ void EdgeServer::PauseFrontends() {
 }
 
 void EdgeServer::ResumeFrontends() {
+  // Every control operation ends here, with the frontends still parked: the one place sources
+  // are re-pointed and suspended or resumed.
+  UpdateSourceFlow();
   {
     std::lock_guard<std::mutex> lock(pause_mu_);
     pause_requested_.store(false, std::memory_order_relaxed);
@@ -387,11 +437,10 @@ bool EdgeServer::TryDeliver(Source& src, RoutedFrame& rf) {
     ++src.frames_delivered;
     return true;
   }
-  // A closed queue is a dead shard (sealed or killed and never revived, with the server now
-  // shutting down): the frame can never be delivered, so drop it — watermarks included —
-  // exactly as dispatch drops frames for an engine that failed to restore. Holding it would
-  // wedge the frontend run-down. During a live checkpoint/restore window this path cannot
-  // fire: the shard's sources are suspended before its queue closes.
+  // A closed queue is a stopped shard. A source flows into one only at shutdown (the source
+  // rule holds every other source whose engine is not on a serving shard): the frame can
+  // never be delivered, so drop it — watermarks included — exactly as dispatch drops frames
+  // that find no resident engine. Holding it would wedge the frontend run-down.
   if (queue.closed()) {
     ++src.frames_shed;
     return true;
@@ -430,9 +479,9 @@ void EdgeServer::FrontendLoop(size_t frontend_index, size_t num_frontends) {
         ++finished;
         continue;
       }
-      // A suspended source's engine is sealed (checkpoint or resize in progress): hold its
-      // frames — the bounded source channel pushes back to that source alone.
-      if (src->suspended.load(std::memory_order_relaxed)) {
+      // A suspended source's engine is not resident on a serving shard: hold its frames —
+      // the bounded source channel pushes back to that source alone.
+      if (src->suspended) {
         continue;
       }
       // Per-source FIFO: a held frame must go before anything newly popped.
@@ -484,8 +533,9 @@ void EdgeServer::FrontendLoop(size_t frontend_index, size_t num_frontends) {
 void EdgeServer::Dispatch(Shard* shard, RoutedFrame rf) {
   const auto it = shard->by_source.find(SourceKey(rf.tenant, rf.source));
   if (it == shard->by_source.end()) {
-    // Only reachable when an engine failed to restore (its state is gone); its frames are
-    // dropped here rather than wedging the shard.
+    // Only reachable at shutdown, when every source flows: a source whose engine is gone (it
+    // failed to restore, or was killed or detached and never restored) drains into its last
+    // home. Its frames are dropped here rather than wedging the shard.
     SBT_LOG(Error) << "shard " << shard->index << ": frame for tenant " << rf.tenant
                    << " source " << rf.source << " has no resident engine";
     return;
@@ -530,8 +580,8 @@ void EdgeServer::Dispatch(Shard* shard, RoutedFrame rf) {
 
 void EdgeServer::DispatchLoop(Shard* shard) {
   // The dispatcher doubles as the shard's periodic gauge sampler: it is the one thread that
-  // may touch the shard's engines while the server runs (Resize/Restore swap them only after
-  // joining it), so sampling here needs no locks and no extra thread.
+  // may touch the shard's engines while the shard serves (control operations change them only
+  // after StopShard joins it), so sampling here needs no locks and no extra thread.
   auto last_sample = std::chrono::steady_clock::now();
   while (auto rf = shard->queue->Pop()) {
     Dispatch(shard, std::move(*rf));
@@ -595,42 +645,32 @@ Result<SealArtifact> EdgeServer::SealEngine(Engine& engine, SealMode mode, bool 
   return artifact;
 }
 
-Result<std::vector<SealArtifact>> EdgeServer::DrainAndSealShard(Shard& shard, SealMode mode,
-                                                                bool detach) {
-  // Close-then-join drains every frame already routed to this shard into its engines.
-  shard.queue->Close();
-  if (shard.dispatcher.joinable()) {
-    shard.dispatcher.join();
-  }
-  // Seal what seals. An engine that refuses (it cannot, after the drain above — this is
-  // defensive) stays resident with its upload history intact rather than poisoning the
+Status EdgeServer::SealShard(Shard& shard, SealMode mode, bool detach,
+                             std::vector<SealArtifact>* out) {
+  // Seal what seals. An engine that refuses (it cannot once the shard is stopped and drained —
+  // this is defensive) stays resident with its upload history intact rather than poisoning the
   // artifacts already taken from its co-residents.
-  std::vector<SealArtifact> out;
+  Status status = OkStatus();
   std::vector<std::unique_ptr<Engine>> kept;
-  out.reserve(shard.engines.size());
   for (auto& engine : shard.engines) {
     auto artifact = SealEngine(*engine, mode, detach);
     if (!artifact.ok()) {
       SBT_LOG(Error) << "shard " << shard.index << ": sealing engine for tenant "
                      << engine->tenant << " failed: " << artifact.status().ToString();
+      if (status.ok()) {
+        status = artifact.status();
+      }
       kept.push_back(std::move(engine));
       continue;
     }
-    out.push_back(std::move(*artifact));
+    out->push_back(std::move(*artifact));
     if (!detach) {
       kept.push_back(std::move(engine));
     }
   }
   shard.engines = std::move(kept);
-  shard.by_source.clear();
-  shard.carved_bytes = 0;
-  for (auto& engine : shard.engines) {
-    shard.carved_bytes += engine->partition_bytes;
-    for (const auto& [source, watermark] : engine->source_watermarks) {
-      shard.by_source[SourceKey(engine->tenant, source)] = engine.get();
-    }
-  }
-  return out;
+  RebuildRouting(shard);
+  return status;
 }
 
 Result<std::vector<SealArtifact>> EdgeServer::Checkpoint(const CheckpointRequest& request) {
@@ -640,28 +680,22 @@ Result<std::vector<SealArtifact>> EdgeServer::Checkpoint(const CheckpointRequest
   if (request.shard >= shards_.size()) {
     return InvalidArgument("no such shard");
   }
-  PauseFrontends();
-  for (auto& src : sources_) {
-    if (src->shard == request.shard) {
-      src->suspended.store(true, std::memory_order_relaxed);
-    }
-  }
   Shard& shard = *shards_[request.shard];
-  auto result = DrainAndSealShard(shard, request.mode, request.detach);
+  // Sealing in place leaves the shard serving, so only a serving shard can do it. Checked
+  // before the frontends park: the refusal has no side effect.
+  if (!request.detach && shard.state != ShardState::kServing) {
+    return FailedPrecondition("seal-in-place checkpoint of a stopped shard");
+  }
+  PauseFrontends();
+  StopShard(shard);
+  // A co-resident's seal failure does not void the artifacts taken (the failure is logged).
+  std::vector<SealArtifact> artifacts;
+  (void)SealShard(shard, request.mode, request.detach, &artifacts);
   if (!request.detach) {
-    // Seal-in-place: revive the shard's queue and dispatcher and resume its sources — serving
-    // continues with the seal gap bounded by the drain, not by any restore.
-    shard.queue = std::make_unique<BoundedChannel<RoutedFrame>>(config_.shard_queue_frames);
-    AttachQueueGauge(shard);
-    shard.dispatcher = std::thread([this, s = &shard] { DispatchLoop(s); });
-    for (auto& src : sources_) {
-      if (src->shard == request.shard) {
-        src->suspended.store(false, std::memory_order_relaxed);
-      }
-    }
+    StartShard(shard);
   }
   ResumeFrontends();
-  return result;
+  return artifacts;
 }
 
 Status EdgeServer::AdoptEngine(Shard& shard, ReplicaSession::PromotedEngine pe) {
@@ -695,94 +729,77 @@ Status EdgeServer::AdoptEngine(Shard& shard, ReplicaSession::PromotedEngine pe) 
       }
     }
   }
-  // A placeholder of the promoted tenant yields its carve to the promoted incarnation (the
-  // standby warm-up path: BindSource created it, the real state streamed in). A tenant engine
-  // with real state refuses — promotion never silently discards work.
-  for (size_t i = 0; i < shard.engines.size(); ++i) {
-    Engine& resident = *shard.engines[i];
-    if (resident.tenant != pe.identity.tenant) {
-      continue;
+  // A placeholder of the promoted tenant on this shard yields its carve to the promoted
+  // incarnation (the standby warm-up path: BindSource created it, the real state streamed in).
+  const Engine* placeholder = nullptr;
+  for (const auto& resident : shard.engines) {
+    if (resident->tenant == pe.identity.tenant && pristine(*resident)) {
+      placeholder = resident.get();
+      break;
     }
-    if (!pristine(resident)) {
-      return FailedPrecondition("tenant already has a live engine on this shard");
-    }
-    shard.carved_bytes -= resident.partition_bytes;
-    for (auto it = shard.by_source.begin(); it != shard.by_source.end();) {
-      it = (it->second == &resident) ? shard.by_source.erase(it) : std::next(it);
-    }
-    shard.engines.erase(shard.engines.begin() + static_cast<ptrdiff_t>(i));
-    break;
   }
 
-  const size_t partition_bytes = EnginePartitionBytes(*spec);
-  if (shard.carved_bytes + partition_bytes > shard.slice_bytes) {
-    return ResourceExhausted("tenant " + spec->name + " quota oversubscribes shard " +
-                             std::to_string(shard.index));
-  }
-  int workers = spec->worker_threads > 0 ? spec->worker_threads : config_.workers_per_engine;
-  if (config_.host_worker_budget > 0) {
-    const int remaining = config_.host_worker_budget - WorkersAllocated();
-    workers = std::max(1, std::min(workers, remaining));
-  }
-  const obs::MetricLabels labels = EngineMetricLabels(spec->name, shard.index);
-  RunnerConfig rc;
-  rc.knobs.worker_threads = workers;
-  rc.metric_labels = labels;
-  rc.ingest_path = IngestPath::kTrustedIo;
-  rc.block_on_backpressure = spec->admission == AdmissionPolicy::kStall;
-
-  auto owned = std::make_unique<Engine>();
-  owned->engine_id = pe.identity.engine_id;
-  owned->tenant = pe.identity.tenant;
-  owned->admission = spec->admission;
-  owned->worker_threads = workers;
-  owned->partition_bytes = partition_bytes;
-  owned->dp = std::move(pe.dp);
-  owned->runner = std::make_unique<Runner>(owned->dp.get(), spec->pipeline, rc);
-  owned->committed_gauge =
-      obs::MetricsRegistry::Global().GetGauge("sbt_engine_committed_bytes", labels);
-
-  // The promote-path splice: the plane already carries the applied state; the fresh runner
-  // adopts the latest control annex, and the server annex restores our own bookkeeping.
-  EngineLifecycle lifecycle(owned->dp.get(), owned->runner.get());
-  auto server_annex = lifecycle.AdoptState(
-      std::span<const uint8_t>(pe.engine_annex.data(), pe.engine_annex.size()));
-  if (!server_annex.ok()) {
-    return server_annex.status();
-  }
-  auto annex = DecodeServerAnnex(
-      std::span<const uint8_t>(server_annex->data(), server_annex->size()));
-  if (!annex.ok()) {
-    return annex.status();
-  }
-  if (annex->engine_id != pe.identity.engine_id) {
+  // Build the engine completely before installing it, so a failed adoption changes nothing.
+  // The plane already carries the applied state; the fresh runner adopts the latest control
+  // annex, and the server annex restores our own bookkeeping.
+  SBT_ASSIGN_OR_RETURN(std::unique_ptr<Engine> engine,
+                       BuildEngine(shard, *spec, pe.identity, std::move(pe.dp), placeholder));
+  EngineLifecycle lifecycle(engine->dp.get(), engine->runner.get());
+  SBT_ASSIGN_OR_RETURN(const std::vector<uint8_t> server_annex,
+                       lifecycle.AdoptState(std::span<const uint8_t>(pe.engine_annex.data(),
+                                                                     pe.engine_annex.size())));
+  SBT_ASSIGN_OR_RETURN(const ServerAnnex annex,
+                       DecodeServerAnnex(std::span<const uint8_t>(server_annex.data(),
+                                                                  server_annex.size())));
+  if (annex.engine_id != pe.identity.engine_id) {
     return DataLoss("checkpoint metadata does not match its sealed engine identity");
   }
-  owned->advanced = annex->advanced;
-  owned->shed_frames = annex->shed_frames;
-  owned->dispatch_errors = annex->dispatch_errors;
-  owned->restores = annex->restores + 1;
-  owned->source_watermarks = annex->source_watermarks;
-  owned->source_frames = annex->source_frames;
-  owned->uploads = std::move(pe.uploads);
-  owned->results = std::move(pe.results);
-  owned->uploads_shipped = owned->uploads.size();
-  owned->results_shipped = owned->results.size();
-  next_engine_id_ = std::max(next_engine_id_, owned->engine_id + 1);
+  engine->advanced = annex.advanced;
+  engine->shed_frames = annex.shed_frames;
+  engine->dispatch_errors = annex.dispatch_errors;
+  engine->restores = annex.restores + 1;
+  engine->source_watermarks = annex.source_watermarks;
+  engine->source_frames = annex.source_frames;
+  engine->uploads = std::move(pe.uploads);
+  engine->results = std::move(pe.results);
+  engine->uploads_shipped = engine->uploads.size();
+  engine->results_shipped = engine->results.size();
 
-  Engine* engine = owned.get();
-  shard.carved_bytes += partition_bytes;
-  shard.engines.push_back(std::move(owned));
-  for (const auto& [source, watermark] : engine->source_watermarks) {
-    shard.by_source[SourceKey(engine->tenant, source)] = engine;
-  }
-  // Re-point and resume the engine's sources (frontends are parked or not yet started).
-  for (auto& src : sources_) {
-    if (src->tenant == engine->tenant && engine->source_watermarks.contains(src->id)) {
-      src->shard = shard.index;
-      src->suspended.store(false, std::memory_order_relaxed);
+  // A source routes to one engine, so the adopted engine takes its sources over from every
+  // other engine of its tenant: a placeholder yields them (and goes once it has none left); an
+  // engine with real state refuses — promotion never silently discards work. An engine with
+  // none of its sources stays, even on this shard (a resize may home two engines there).
+  std::vector<std::pair<Shard*, Engine*>> yielders;
+  for (auto& other : shards_) {
+    for (const auto& resident : other->engines) {
+      if (resident->tenant != engine->tenant || resident.get() == placeholder ||
+          !std::ranges::any_of(engine->source_watermarks, [&resident](const auto& entry) {
+            return resident->source_watermarks.contains(entry.first);
+          })) {
+        continue;
+      }
+      if (!pristine(*resident)) {
+        return FailedPrecondition("a source of the promoted engine feeds a live engine on shard " +
+                                  std::to_string(other->index));
+      }
+      yielders.emplace_back(other.get(), resident.get());
     }
   }
+
+  next_engine_id_ = std::max(next_engine_id_, engine->engine_id + 1);
+  for (auto& [other, yielder] : yielders) {
+    for (const auto& [source, watermark] : engine->source_watermarks) {
+      yielder->source_watermarks.erase(source);
+      yielder->source_frames.erase(source);
+    }
+    if (yielder->source_watermarks.empty()) {
+      std::erase_if(other->engines, [y = yielder](const auto& e) { return e.get() == y; });
+    }
+    RebuildRouting(*other);
+  }
+  std::erase_if(shard.engines, [placeholder](const auto& e) { return e.get() == placeholder; });
+  shard.engines.push_back(std::move(engine));
+  RebuildRouting(shard);
   return OkStatus();
 }
 
@@ -795,22 +812,30 @@ Status EdgeServer::Promote(ReplicaSession& replica, uint32_t shard_index) {
   }
   SBT_ASSIGN_OR_RETURN(std::vector<ReplicaSession::PromotedEngine> engines,
                        replica.TakeEngines());
-  Shard& shard = *shards_[shard_index];
-  const bool live = started_;
-  if (live) {
-    PauseFrontends();
-    // Quiesce the target shard's dispatcher: promoting mutates its routing table, which the
-    // dispatcher reads without a lock. (Frontends are parked; nobody pushes meanwhile.) On a
-    // dead shard — detached checkpoint, KillShard — the queue is already closed and the
-    // dispatcher already joined; this revives it below.
-    shard.queue->Close();
-    if (shard.dispatcher.joinable()) {
-      shard.dispatcher.join();
+  PauseFrontends();
+  // Adoption changes the target shard and takes sources over from placeholders of the promoted
+  // tenants on other shards, so every shard holding an engine of such a tenant stops too. The
+  // ones that served serve again and the target starts serving (before Start(), Start() does).
+  std::vector<Shard*> serve;
+  for (auto& shard : shards_) {
+    const bool touched =
+        shard->index == shard_index ||
+        std::ranges::any_of(shard->engines, [&engines](const auto& resident) {
+          return std::ranges::any_of(engines, [&resident](const auto& pe) {
+            return pe.identity.tenant == resident->tenant;
+          });
+        });
+    if (!touched) {
+      continue;
     }
+    if (started_ && (shard->index == shard_index || shard->state == ShardState::kServing)) {
+      serve.push_back(shard.get());
+    }
+    StopShard(*shard);
   }
   Status status = OkStatus();
   for (auto& pe : engines) {
-    const Status s = AdoptEngine(shard, std::move(pe));
+    const Status s = AdoptEngine(*shards_[shard_index], std::move(pe));
     if (!s.ok()) {
       SBT_LOG(Error) << "shard " << shard_index << ": promoting an engine failed: "
                      << s.ToString();
@@ -819,12 +844,10 @@ Status EdgeServer::Promote(ReplicaSession& replica, uint32_t shard_index) {
       }
     }
   }
-  if (live) {
-    shard.queue = std::make_unique<BoundedChannel<RoutedFrame>>(config_.shard_queue_frames);
-    AttachQueueGauge(shard);
-    shard.dispatcher = std::thread([this, s = &shard] { DispatchLoop(s); });
-    ResumeFrontends();
+  for (Shard* shard : serve) {
+    StartShard(*shard);
   }
+  ResumeFrontends();
   return status;
 }
 
@@ -856,24 +879,15 @@ Status EdgeServer::KillShard(uint32_t shard_index) {
   if (shard_index >= shards_.size()) {
     return InvalidArgument("no such shard");
   }
-  PauseFrontends();
-  for (auto& src : sources_) {
-    if (src->shard == shard_index) {
-      src->suspended.store(true, std::memory_order_relaxed);
-    }
-  }
   Shard& shard = *shards_[shard_index];
-  shard.queue->Close();
-  if (shard.dispatcher.joinable()) {
-    shard.dispatcher.join();
-  }
+  PauseFrontends();
+  StopShard(shard);
   // The fault itself: every resident engine vanishes with whatever it had not sealed, exactly
   // as if the shard's secure world died. chain_heads_ deliberately survives — the cloud's
   // knowledge of the verified chain does not die with the edge hardware, so a stale artifact
   // sealed before newer uploads is still rejected at promote.
   shard.engines.clear();
-  shard.by_source.clear();
-  shard.carved_bytes = 0;
+  RebuildRouting(shard);
   ResumeFrontends();
   return OkStatus();
 }
@@ -908,58 +922,24 @@ Status EdgeServer::Resize(uint32_t new_num_shards) {
     }
   }
 
-  // Quiesce and detach-seal everything (full seals: each artifact must stand alone).
+  // Stop and detach-seal everything (full seals: each artifact must stand alone). An engine
+  // that fails to seal cannot move; it is dropped with the old fleet and its seal's status
+  // returned.
   Status status = OkStatus();
-  for (auto& shard : shards_) {
-    shard->queue->Close();
-  }
-  for (auto& shard : shards_) {
-    if (shard->dispatcher.joinable()) {
-      shard->dispatcher.join();
-    }
-  }
   std::vector<SealArtifact> moves;
   moves.reserve(home_of.size());
   for (auto& shard : shards_) {
-    for (auto& engine : shard->engines) {
-      auto artifact = SealEngine(*engine, SealMode::kFull, /*detach=*/true);
-      if (!artifact.ok()) {
-        // Unsealable engine (should not happen after a drain): its state cannot move; drop it
-        // and surface the error after the fleet is rebuilt.
-        SBT_LOG(Error) << "resize: sealing engine for tenant " << engine->tenant
-                       << " failed: " << artifact.status().ToString();
-        if (status.ok()) {
-          status = artifact.status();
-        }
-        continue;
-      }
-      moves.push_back(std::move(*artifact));
+    StopShard(*shard);
+    const Status sealed = SealShard(*shard, SealMode::kFull, /*detach=*/true, &moves);
+    if (!sealed.ok() && status.ok()) {
+      status = sealed;
     }
   }
 
-  // Rebuild the fleet under the new partition plan. Every source is suspended and parked on a
-  // valid shard index first; each engine's adoption re-points and resumes its own sources, so
-  // only the sources of an engine that failed to move stay suspended (their frames are dropped
-  // at shutdown like any engine-less frames) — and no source is ever left aiming at an index
-  // beyond the new, possibly smaller, fleet.
-  for (auto& src : sources_) {
-    src->suspended.store(true, std::memory_order_relaxed);
-    src->shard = 0;
-  }
-  shards_.clear();
-  router_ = new_router;
-  shard_partition_bytes_ = new_slice;
-  shards_.reserve(new_num_shards);
-  for (uint32_t s = 0; s < new_num_shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->index = s;
-    shard->slice_bytes = new_slice;
-    shard->queue = std::make_unique<BoundedChannel<RoutedFrame>>(config_.shard_queue_frames);
-    AttachQueueGauge(*shard);
-    shards_.push_back(std::move(shard));
-  }
-  // One ReplicaSession re-verifies every moved engine's full chain (re-sharding is as
-  // tamper-evident as recovery), then each engine is adopted at its planned home.
+  // Rebuild the fleet under the new partition plan. One ReplicaSession re-verifies every moved
+  // engine's full chain (re-sharding is as tamper-evident as recovery), then each engine is
+  // adopted at its planned home.
+  ResetFleet(new_num_shards);
   ReplicaSession replica(&registry_, ReplicaOptions());
   for (auto& artifact : moves) {
     const Status s = replica.Apply(std::move(artifact));
@@ -989,7 +969,7 @@ Status EdgeServer::Resize(uint32_t new_num_shards) {
     }
   }
   for (auto& shard : shards_) {
-    shard->dispatcher = std::thread([this, s = shard.get()] { DispatchLoop(s); });
+    StartShard(*shard);
   }
   ResumeFrontends();
   return status;
@@ -1000,14 +980,12 @@ ServerReport EdgeServer::Shutdown() {
   if (!started_ || stopped_) {
     return report;
   }
+  // 0. The source rule with the server stopping: every source flows, so frontends can drain
+  //    their channels and exit. Frames for engines that are gone are dropped: at a stopped
+  //    shard's closed queue, or at dispatch with an error log.
+  PauseFrontends();
   stopped_ = true;
-
-  // 0. Resume anything a failed checkpoint/restore sequence left suspended, so frontends can
-  //    drain their channels and exit (frames for engines that are genuinely gone are dropped
-  //    at dispatch with an error log).
-  for (auto& src : sources_) {
-    src->suspended.store(false, std::memory_order_relaxed);
-  }
+  ResumeFrontends();
   // 1. Run the frontends down: close every source channel (idempotent — sources that already
   //    closed their end are unaffected); frontends drain what remains, then exit.
   for (auto& src : sources_) {
@@ -1021,14 +999,9 @@ ServerReport EdgeServer::Shutdown() {
   for (auto& src : sources_) {
     src->channel->SetListener(nullptr);
   }
-  // 2. Close shard queues; dispatchers drain them (drain-after-close) and exit.
+  // 2. Stop every shard; dispatchers drain their queues (drain-after-close) and exit.
   for (auto& shard : shards_) {
-    shard->queue->Close();
-  }
-  for (auto& shard : shards_) {
-    if (shard->dispatcher.joinable()) {
-      shard->dispatcher.join();
-    }
+    StopShard(*shard);
   }
   // 3. Per engine: drain all in-flight work, then collect results and the tenant's audit
   //    chain. Ordering matters: Drain before the final flush so every upload sequence is a
@@ -1122,7 +1095,7 @@ EdgeServer::ShardSnapshot EdgeServer::shard_snapshot(uint32_t shard_index) const
   for (const auto& engine : shard.engines) {
     snap.committed_bytes += engine->dp->memory_stats().committed_bytes;
   }
-  snap.queue_depth = shard.queue->size();
+  snap.queue_depth = shard.queue != nullptr ? shard.queue->size() : 0;  // null before Start()
   return snap;
 }
 

@@ -36,47 +36,48 @@
 // quota cannot hold a window of in-flight data wedges exactly like the paper's engine would —
 // size quotas to windows.
 //
-// Lifecycle surface (one entrypoint per operation — everything funnels through
-// EngineLifecycle and ReplicaSession underneath):
+// Shard lifecycle. A shard is in one of two states:
+//   Serving — its ingest queue is open and its dispatcher runs;
+//   Stopped — its queue is closed (or not yet opened) and no dispatcher runs: before Start(),
+//             after a detaching Checkpoint or a KillShard, and after Shutdown().
+// Every control operation runs the same steps: park the frontends, stop the shard (close-then-
+// join drains every frame already routed to it into its engines), change its engines, start
+// it again if it should serve, recompute which sources flow, resume the frontends. Frontends
+// stay parked for the whole operation, so no intermediate state is ever observable.
 //
-//   Checkpoint(CheckpointRequest{shard, mode, detach})
-//       Quiesces one shard (its sources stall at the frontends, its queue drains, its runners
-//       drain) and seals every resident engine into a SealArtifact (src/server/replica.h).
-//       mode=kFull seals the whole engine; mode=kDelta seals only state dirtied since the
-//       engine's previous seal (first seal falls back to full). detach=false — the
-//       continuous-replication flavor — seals in place: the shard's dispatcher and sources
-//       resume immediately and serving continues. detach=true — the migration flavor — lifts
-//       the engines off the shard; their sources stay suspended until a Restore/Promote
-//       revives them. A fused command buffer in flight is atomic with respect to all of this:
-//       the runner drain waits for the whole Submit task, and DataPlane::Checkpoint refuses
-//       (naming the tripped guard) if it can still see in-flight boundary work.
-//   Restore(shard, artifacts)
-//       The operator recovery path: applies the artifacts through a fresh ReplicaSession
-//       (verifying every audit-chain link and every delta's base position — recovery is
-//       tamper-evident) and promotes the resulting engines onto `shard`.
-//   Promote(replica, shard)
-//       Adopts a ReplicaSession's pre-applied engines onto `shard` — the hot-standby failover
-//       path (the session streamed seals for minutes; promotion is just runner construction
-//       plus source re-pointing, so RTO does not scale with state size). Works both before
-//       Start() (a standby warming up) and on a live server (re-homing onto a survivor).
-//       The session's promote-exactly-once rule makes split-brain impossible through this API.
-//   KillShard(shard)
-//       Chaos entrypoint: the shard's engines vanish with their un-sealed state, exactly as if
-//       the shard's secure world died. Its sources stay suspended until a Promote re-homes
-//       them. The cloud's verified chain positions survive — a stale artifact sealed before
-//       newer uploads is still rejected.
-//   Resize(N')
-//       Elastic re-sharding: drains everything once, detach-seals every engine, rebuilds the
-//       fleet with N' partitions, and re-applies every artifact through one ReplicaSession to
-//       its new jump-hash home. Sources are sticky to their engine, so re-homing is
-//       engine-granular and no event is lost. Validated before any state is touched.
+// The source rule: a source flows if and only if its engine is resident on a Serving shard
+// (and, while the server shuts down, every source flows so its channel drains). Otherwise the
+// frontend holds its frames and the bounded source channel pushes back to that source alone,
+// so no frame is dispatched to a shard that no longer hosts its engine.
+//
+//   | Operation           | On a Serving shard         | On a Stopped shard                   |
+//   |---------------------|----------------------------|--------------------------------------|
+//   | Checkpoint in place | Seals; shard stays Serving | kFailedPrecondition, checked before  |
+//   |                     |                            | frontends park, no side effect       |
+//   | Checkpoint + detach | Shard becomes Stopped      | Shard stays Stopped                  |
+//   | KillShard           | Shard becomes Stopped      | Shard stays Stopped                  |
+//   | Promote / Restore   | Shard becomes Serving      | Shard becomes Serving                |
+//   | Resize              | Rebuilds every shard as Serving                                   |
+//   | Shutdown            | Stops every shard                                                 |
+//
+// Checkpoint seals every resident engine into a SealArtifact (src/server/replica.h); kDelta
+// seals only state dirtied since the engine's previous seal. Restore applies artifacts through
+// a fresh ReplicaSession (every audit-chain link and every delta's base position verified)
+// and promotes the result; Promote adopts a ReplicaSession's pre-applied engines (hot-standby
+// failover; before Start() it only adopts, and Start() starts every shard); KillShard drops
+// the shard's engines with their unsealed state, as if its secure world died; Resize
+// detach-seals every engine and re-applies each at its jump-hash home under N' partitions,
+// validated before any state is touched. A fused command buffer in flight is atomic with
+// respect to all of this: the runner drain waits for the whole Submit task, and
+// DataPlane::Checkpoint refuses (naming the tripped guard) if it can still see in-flight
+// boundary work.
 //
 // Control-plane operations (Checkpoint / Restore / Promote / KillShard / Resize / Shutdown)
-// must be called from one control thread.
+// and shard_snapshot() must be called from one control thread.
 //
-// Lifecycle: Add tenants to the registry, BindSource for every source, Start, feed the
-// channels, Shutdown. Shutdown closes source channels, runs the frontends down, drains shard
-// queues, then per engine: Runner::Drain -> collect results -> flush the final audit upload ->
+// Session: Add tenants to the registry, BindSource for every source, Start, feed the
+// channels, Shutdown. Shutdown closes source channels, runs the frontends down, stops every
+// shard, then per engine: Runner::Drain -> collect results -> flush the final audit upload ->
 // verify the full upload chain (MACs + hash-chain continuity across any restores) and replay
 // the decoded records against the tenant's pipeline declaration. Each engine's audit chain
 // verifies independently — the per-tenant attestation a cloud consumer actually receives.
@@ -222,12 +223,13 @@ class EdgeServer {
   // only the first call yields a populated report.
   ServerReport Shutdown();
 
-  // The one checkpoint entrypoint (see the class comment for the full contract).
+  // The one checkpoint entrypoint (see the shard lifecycle table above).
   struct CheckpointRequest {
     uint32_t shard = 0;
     SealMode mode = SealMode::kFull;
-    // false: seal in place, the shard keeps serving (continuous replication).
-    // true: lift the engines off the shard; sources stay suspended (migration / operator
+    // false: seal in place, the shard keeps serving (continuous replication); the shard must
+    // be Serving. true: lift the engines off the shard and stop it; their sources hold their
+    // frames until a Restore/Promote makes the engines resident again (migration / operator
     // checkpoint). An engine that fails to seal (defensive; a drained engine cannot) stays
     // resident either way and is simply absent from the result.
     bool detach = false;
@@ -243,12 +245,15 @@ class EdgeServer {
   // Adopts a ReplicaSession's pre-applied engines onto `shard` — hot-standby promotion.
   // Callable before Start() (standby warm-up) or on a live server (re-homing). Each adopted
   // engine's chain position must match the server's last verified head for that engine (when
-  // known), its tenant must not already run a live engine (a pristine bind-time placeholder
-  // yields its carve), and its sources are re-pointed and resumed.
+  // known), and it takes its sources over: a pristine bind-time placeholder of its tenant yields
+  // them (on `shard` it also yields its carve; elsewhere it is dropped once it has no source
+  // left), while an engine with real state that claims one of them refuses with
+  // kFailedPrecondition. Every shard holding an engine of a promoted tenant stops while engines
+  // move and serves again afterwards.
   Status Promote(ReplicaSession& replica, uint32_t shard);
 
   // Chaos entrypoint: kills `shard` as if its secure world died — resident engines vanish with
-  // their un-sealed state, their sources stay suspended until promoted elsewhere.
+  // their un-sealed state, and their sources hold their frames until the engines are promoted.
   Status KillShard(uint32_t shard);
 
   // Elastic resize under live ingest (see the class comment). Validated before any state is
@@ -264,7 +269,8 @@ class EdgeServer {
   uint32_t num_shards() const { return static_cast<uint32_t>(shards_.size()); }
   size_t shard_partition_bytes() const { return shard_partition_bytes_; }
 
-  // Live aggregates (safe to read while running).
+  // Live aggregates. Walks the shard's engine list, which control operations change, so it is
+  // called from the control thread (it may run while the server serves).
   struct ShardSnapshot {
     size_t partition_bytes = 0;  // the shard's slice of the host budget
     size_t carved_bytes = 0;     // sum of resident engines' carves (<= partition_bytes)
@@ -317,19 +323,22 @@ class EdgeServer {
     size_t results_shipped = 0;
   };
 
+  enum class ShardState : uint8_t { kStopped, kServing };
+
   struct Shard {
     uint32_t index = 0;
     size_t slice_bytes = 0;
-    size_t carved_bytes = 0;
-    std::unique_ptr<BoundedChannel<RoutedFrame>> queue;
+    size_t carved_bytes = 0;  // sum of resident engines' carves
+    ShardState state = ShardState::kStopped;
+    std::unique_ptr<BoundedChannel<RoutedFrame>> queue;  // open iff kServing
     std::vector<std::unique_ptr<Engine>> engines;
     // (tenant << 32 | source) -> resident engine, the dispatcher's routing table.
     std::map<uint64_t, Engine*> by_source;
-    std::thread dispatcher;
+    std::thread dispatcher;  // running iff kServing
   };
 
-  // One bound source. Owned by exactly one frontend thread after Start(); control-plane
-  // mutations (shard re-homing, suspend/resume) happen only while every frontend is parked.
+  // One bound source. Owned by exactly one frontend thread after Start(); `shard` and
+  // `suspended` are written only by UpdateSourceFlow, while every frontend is parked.
   struct Source {
     TenantId tenant = 0;
     uint32_t id = 0;
@@ -337,7 +346,7 @@ class EdgeServer {
     AdmissionPolicy admission = AdmissionPolicy::kStall;
     FrameChannel* channel = nullptr;
     uint32_t shard = 0;
-    std::atomic<bool> suspended{false};  // engine sealed/killed; hold frames until revived
+    bool suspended = false;  // engine not resident on a serving shard: hold frames
     std::optional<RoutedFrame> pending;  // admission-stalled frame, retried before new pops
     bool finished = false;
     uint64_t frames_delivered = 0;
@@ -354,30 +363,45 @@ class EdgeServer {
   // True if the frame was consumed (enqueued to the shard, or shed); false = hold and retry.
   bool TryDeliver(Source& src, RoutedFrame& rf);
 
-  // Parks every live frontend thread at a barrier (and resumes them). Bracketing control-plane
-  // mutations this way means source structs and routing tables are never touched while a
-  // frontend is mid-delivery.
+  // Parks every live frontend thread at a barrier (and resumes them, after UpdateSourceFlow).
+  // Bracketing control-plane mutations this way means source structs and routing tables are
+  // never touched while a frontend is mid-delivery.
   void PauseFrontends();
   void ResumeFrontends();
   // Blocks until `pause_requested_` drops, counting this thread as parked meanwhile.
   void ParkUntilResumed();
 
-  Result<Engine*> CreateEngine(Shard& shard, const TenantSpec& spec,
-                               const EngineIdentity& identity);
-  // Points the shard's (possibly fresh) ingest queue at its labeled depth gauge. Called
-  // wherever a shard queue is created: construction, revival after a seal/promote, resize.
-  void AttachQueueGauge(Shard& shard);
+  // Replaces the fleet with `num_shards` empty, Stopped shards under a matching router.
+  void ResetFleet(uint32_t num_shards);
+  // The shard lifecycle: StartShard opens a fresh queue and spawns the dispatcher (Stopped ->
+  // Serving); StopShard closes the queue and joins the dispatcher, which drains what was
+  // routed (Serving -> Stopped; a no-op on a Stopped shard).
+  void StartShard(Shard& shard);
+  void StopShard(Shard& shard);
+  // Recomputes the shard's routing table and carve total from its engines.
+  void RebuildRouting(Shard& shard);
+  // The source rule: re-points every source at the shard its engine is resident on and lets
+  // it flow iff that shard serves (or the server is stopping). Runs while frontends are parked.
+  void UpdateSourceFlow();
+  // The one engine recipe, shared by bind-time creation and adoption: carves the tenant's
+  // partition and worker grant on `shard` and builds the runner around `dp` (a fresh plane is
+  // made when null). `replaces` is a resident placeholder the engine will take over from; its
+  // carve and workers count as free. Changes nothing on the shard: the caller installs it.
+  Result<std::unique_ptr<Engine>> BuildEngine(const Shard& shard, const TenantSpec& spec,
+                                              const EngineIdentity& identity,
+                                              std::unique_ptr<DataPlane> dp,
+                                              const Engine* replaces);
   // Worker threads currently granted across every resident engine (the spent budget).
   int WorkersAllocated() const;
-  // Seals `engine` (which must belong to a drained shard) into a transferable artifact.
+  // Seals `engine` (which must belong to a stopped shard) into a transferable artifact.
   Result<SealArtifact> SealEngine(Engine& engine, SealMode mode, bool detach);
-  // Adopts one pre-applied engine onto `shard` and re-points its sources there. The target
-  // shard's dispatcher must be quiesced (or not yet started); frontends must be parked (or not
-  // yet started).
+  // Adopts one pre-applied engine onto the stopped `shard` (frontends parked or not yet
+  // started); it is installed only once fully built. It takes its sources over from the
+  // placeholders of its tenant, so every shard holding an engine of that tenant must be stopped.
   Status AdoptEngine(Shard& shard, ReplicaSession::PromotedEngine pe);
-  // Drains and seals every engine of `shard` (queue closed, dispatcher joined, runners
-  // drained). Caller holds the frontend pause.
-  Result<std::vector<SealArtifact>> DrainAndSealShard(Shard& shard, SealMode mode, bool detach);
+  // Seals every engine of the stopped `shard` into `out`; detach lifts the sealed ones off it.
+  // Returns the first seal failure (the engine that failed stays resident).
+  Status SealShard(Shard& shard, SealMode mode, bool detach, std::vector<SealArtifact>* out);
   // The shard an engine (and its sources) belongs on under `router`.
   uint32_t EngineHome(const ShardRouter& router, const Engine& engine) const;
   // The ReplicaSession options matching this server's engine construction.

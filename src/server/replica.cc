@@ -196,54 +196,41 @@ Status ReplicaSession::Apply(SealArtifact artifact) {
     return NotFound("seal artifact for unknown tenant " + std::to_string(artifact.tenant()));
   }
   const uint64_t engine_id = artifact.engine_id();
-
-  if (artifact.sealed.mode == SealMode::kFull) {
-    // A full seal re-establishes the engine wholesale: verify its complete upload chain from
-    // the head, then restore into a freshly constructed plane. Failures leave any existing
-    // slot for this engine untouched.
-    auto verifier = std::make_unique<AuditChainVerifier>(spec->mac_key);
-    for (const AuditUpload& upload : artifact.uploads) {
-      SBT_RETURN_IF_ERROR(verifier->Accept(upload));
-    }
-    SBT_RETURN_IF_ERROR(
-        verifier->AcceptResume(artifact.identity().chain_seq, artifact.identity().chain_head));
-    auto dp = std::make_unique<DataPlane>(MakeEngineDataPlaneConfig(
-        *spec, artifact.identity(), options_.switch_cost,
-        options_.logical_audit_timestamps,
-        obs::MetricLabels{{"tenant", spec->name}, {"role", "standby"}}));
-    SBT_ASSIGN_OR_RETURN(std::vector<uint8_t> annex, dp->Restore(artifact.sealed));
-
-    Slot slot;
-    slot.identity = artifact.identity();
-    slot.dp = std::move(dp);
-    slot.verifier = std::move(verifier);
-    slot.engine_annex = std::move(annex);
-    slot.uploads = std::move(artifact.uploads);
-    slot.results = std::move(artifact.results);
-    slot.source_frames = std::move(artifact.source_frames);
-    slots_.insert_or_assign(engine_id, std::move(slot));
-    ++seals_applied_;
-    return OkStatus();
-  }
-
-  const auto it = slots_.find(engine_id);
-  if (it == slots_.end()) {
+  const bool full = artifact.sealed.mode == SealMode::kFull;
+  auto it = slots_.find(engine_id);
+  if (!full && it == slots_.end()) {
     return FailedPrecondition("delta seal for engine " + std::to_string(engine_id) +
                               " but this replica holds no full base for it");
   }
-  Slot& slot = it->second;
-  // Chain-verify on a scratch copy first: a corrupted, reordered, or replayed delta is
-  // rejected here (or by ApplyDelta's base-position check) with the slot byte-for-byte
-  // intact, so the correct successor delta still applies.
-  AuditChainVerifier scratch = *slot.verifier;
+  // One sequence for both modes, on scratch state: a full seal starts from a fresh chain
+  // verifier and a fresh plane, a delta from a copy of the slot's verifier and the slot's own
+  // plane (ApplySeal validates the whole seal before it mutates). A corrupted, reordered, or
+  // replayed seal is rejected with the slot byte-for-byte intact, so the correct successor
+  // still applies.
+  AuditChainVerifier verifier = full ? AuditChainVerifier(spec->mac_key) : it->second.verifier;
   for (const AuditUpload& upload : artifact.uploads) {
-    SBT_RETURN_IF_ERROR(scratch.Accept(upload));
+    SBT_RETURN_IF_ERROR(verifier.Accept(upload));
   }
   SBT_RETURN_IF_ERROR(
-      scratch.AcceptResume(artifact.identity().chain_seq, artifact.identity().chain_head));
-  SBT_ASSIGN_OR_RETURN(std::vector<uint8_t> annex, slot.dp->ApplyDelta(artifact.sealed));
+      verifier.AcceptResume(artifact.identity().chain_seq, artifact.identity().chain_head));
+  std::unique_ptr<DataPlane> fresh;
+  if (full) {
+    fresh = std::make_unique<DataPlane>(MakeEngineDataPlaneConfig(
+        *spec, artifact.identity(), options_.switch_cost, options_.logical_audit_timestamps,
+        obs::MetricLabels{{"tenant", spec->name}, {"role", "standby"}}));
+  }
+  DataPlane* dp = full ? fresh.get() : it->second.dp.get();
+  SBT_ASSIGN_OR_RETURN(std::vector<uint8_t> annex, dp->ApplySeal(artifact.sealed));
 
-  *slot.verifier = scratch;
+  if (full) {  // replaces any slot for this engine wholesale
+    it = slots_
+             .insert_or_assign(engine_id,
+                               Slot{.verifier = std::move(verifier), .dp = std::move(fresh)})
+             .first;
+  } else {
+    it->second.verifier = std::move(verifier);
+  }
+  Slot& slot = it->second;
   slot.identity = artifact.identity();
   slot.engine_annex = std::move(annex);
   slot.uploads.insert(slot.uploads.end(), std::make_move_iterator(artifact.uploads.begin()),

@@ -12,11 +12,12 @@
 //
 //   subscribe  — the replication subscriber (src/server/replication.h) or an operator feeds
 //                every artifact the primary seals, in order, through Apply();
-//   apply      — a kFull artifact re-establishes the engine wholesale (fresh DataPlane,
-//                fresh chain verification from the first upload); a kDelta artifact extends
-//                both the verified chain and the plane's seal base, and is rejected if it is
-//                corrupted, reordered, replayed, or forked (DataPlane::ApplyDelta checks the
-//                base position, the verifier checks the chain);
+//   apply      — one sequence for both modes: verify the artifact's uploads on a scratch chain
+//                verifier, then DataPlane::ApplySeal, then commit to the slot. A kFull
+//                artifact starts from a fresh verifier and a fresh DataPlane and replaces the
+//                engine's slot wholesale; a kDelta artifact starts from the slot's verifier and
+//                plane, extends both, and is rejected if it is corrupted, reordered, replayed,
+//                or forked (ApplySeal checks the base position, the verifier the chain);
 //   promote    — TakeEngines() hands the pre-applied planes over exactly once; the EdgeServer
 //                builds runners around them (EngineLifecycle::AdoptState) and resumes their
 //                sources. A promoted session refuses further applies and further takes.
@@ -91,8 +92,9 @@ class ReplicaSession {
 
   // Applies one artifact in arrival order. Thread-safe (the subscriber thread and an operator
   // may interleave). kFull replaces the engine's slot wholesale; kDelta requires a slot and
-  // must continue both the verified audit chain and the plane's seal base — on a delta that
-  // fails mid-apply the slot is dropped (a later kFull re-establishes it).
+  // must continue both the verified audit chain and the plane's seal base. A rejected artifact
+  // leaves the slot as it was (a partition too small for a delta's additions is the exception:
+  // that slot must be re-established by a later kFull).
   Status Apply(SealArtifact artifact);
 
   size_t engines() const;
@@ -119,9 +121,9 @@ class ReplicaSession {
 
  private:
   struct Slot {
-    EngineIdentity identity;
+    AuditChainVerifier verifier;  // persists across deltas
     std::unique_ptr<DataPlane> dp;
-    std::unique_ptr<AuditChainVerifier> verifier;  // persists across deltas
+    EngineIdentity identity;
     std::vector<uint8_t> engine_annex;
     std::vector<AuditUpload> uploads;
     std::vector<WindowResult> results;

@@ -1,5 +1,8 @@
 #include "src/server/replication.h"
 
+#include <poll.h>
+
+#include <algorithm>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -18,9 +21,24 @@ enum class ReadOutcome : uint8_t {
   kStopped = 4,  // local Stop() raced the read
 };
 
+// Longest single wait on a socket: bounds how long the subscriber's reader takes to notice a
+// local Stop(), which it checks between waits (as promptly as the 1 ms sleep this replaced).
+constexpr auto kWaitSlice = std::chrono::milliseconds(1);
+
+// Waits until `sock` is readable (for a listener: a connection is pending), the deadline
+// passes, or one wait slice ends — whichever comes first. Callers re-check their own exit
+// conditions and call again.
+void WaitReadable(const net::Socket& sock, std::chrono::steady_clock::time_point deadline) {
+  const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+      deadline - std::chrono::steady_clock::now());
+  pollfd pfd{.fd = sock.fd(), .events = POLLIN, .revents = 0};
+  (void)::poll(&pfd, 1, static_cast<int>(std::clamp(left, std::chrono::milliseconds(0),
+                                                    kWaitSlice).count()));
+}
+
 // Blocking receive of the next complete wire message into `buffer` (the message body is a view
-// into it; the caller erases `out->consumed` bytes once done). Nonblocking sockets underneath,
-// so this polls with a short sleep — the replication link is a control path, not a datapath.
+// into it; the caller erases `out->consumed` bytes once done). Nonblocking sockets underneath;
+// an empty socket is waited on until it turns readable.
 ReadOutcome ReadMessage(const net::Socket& sock, std::vector<uint8_t>* buffer,
                         wire::StreamMessage* out,
                         std::chrono::steady_clock::time_point deadline,
@@ -48,7 +66,7 @@ ReadOutcome ReadMessage(const net::Socket& sock, std::vector<uint8_t>* buffer,
         buffer->insert(buffer->end(), chunk, chunk + n);
         break;
       case net::IoResult::kWouldBlock:
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        WaitReadable(sock, deadline);
         break;
       case net::IoResult::kClosed:
       case net::IoResult::kError:
@@ -109,7 +127,7 @@ Status ReplicationPublisher::EnsurePeer() {
     if (std::chrono::steady_clock::now() >= deadline) {
       return DeadlineExceeded("no standby connected to the replication port");
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    WaitReadable(listener_, deadline);
   }
 
   // Server side of the standard handshake, under the dedicated replication key. The standby
@@ -281,10 +299,13 @@ Status ReplicationSubscriber::Connect(uint16_t port) {
       }
       std::vector<uint8_t> reply;
       wire::AppendSealAck(&reply, ack);
+      // Counted before it leaves: once the publisher has read the ack, the count includes it.
+      // A failed write takes the count back (the link is down).
+      seals_acked_.fetch_add(1, std::memory_order_relaxed);
       if (!net::WriteAll(sock_, reply).ok()) {
+        seals_acked_.fetch_sub(1, std::memory_order_relaxed);
         return;
       }
-      seals_acked_.fetch_add(1, std::memory_order_relaxed);
     }
   });
   return OkStatus();

@@ -1,5 +1,5 @@
 // Sealed engine checkpoint/restore through the one lifecycle surface (src/control/lifecycle.h,
-// DataPlane::Checkpoint/Restore/ApplyDelta).
+// DataPlane::Checkpoint/ApplySeal).
 //
 // The acceptance scenarios: seal -> corrupt one byte -> restore is rejected with kDataLoss;
 // seal -> restore -> continue produces byte-identical egress and a verifier-accepted continued
@@ -262,7 +262,7 @@ TEST(CheckpointTest, EverySingleByteCorruptionIsRejected) {
 
   auto expect_rejected = [&](const SealedCheckpoint& corrupt, const char* what) {
     DataPlane fresh(cfg);
-    auto restored = fresh.Restore(corrupt);
+    auto restored = fresh.ApplySeal(corrupt);
     ASSERT_FALSE(restored.ok()) << what;
     EXPECT_EQ(restored.status().code(), StatusCode::kDataLoss) << what;
   };
@@ -334,7 +334,7 @@ TEST(CheckpointTest, RestorePreconditionsAndQuota) {
     ASSERT_TRUE(
         used.IngestBatch(testing::AsBytes(events), sizeof(Event), 0, IngestPath::kTrustedIo)
             .ok());
-    EXPECT_EQ(used.Restore(bundle->sealed).status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(used.ApplySeal(bundle->sealed).status().code(), StatusCode::kFailedPrecondition);
   }
   // The lifecycle surface enforces the same precondition end to end: restoring into a pair
   // whose engine already worked is refused, not silently merged.
@@ -352,19 +352,19 @@ TEST(CheckpointTest, RestorePreconditionsAndQuota) {
     tiny.partition.secure_dram_bytes = 64u << 10;  // one 64KB page
     tiny.partition.group_reserve_bytes = 64u << 10;
     DataPlane small(tiny);
-    EXPECT_EQ(small.Restore(bundle->sealed).status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(small.ApplySeal(bundle->sealed).status().code(), StatusCode::kResourceExhausted);
   }
   // Restoring under the wrong tenant keys is indistinguishable from corruption.
   {
     DataPlaneConfig wrong = cfg;
     wrong.mac_key[0] ^= 0xff;
     DataPlane other(wrong);
-    EXPECT_EQ(other.Restore(bundle->sealed).status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(other.ApplySeal(bundle->sealed).status().code(), StatusCode::kDataLoss);
   }
   // A malformed control annex is rejected cleanly by a fresh pair's adopt path.
   {
     DataPlane dp2(cfg);
-    auto engine_annex = dp2.Restore(bundle->sealed);
+    auto engine_annex = dp2.ApplySeal(bundle->sealed);
     ASSERT_TRUE(engine_annex.ok());
     std::vector<uint8_t> garbage = *engine_annex;
     garbage.resize(garbage.size() / 2);
@@ -482,9 +482,9 @@ void RunDeltaChainScenario(int worker_threads, bool fuse_chains) {
   // Standby A: replay the chain — full restore, then each delta in order — and adopt the
   // latest control annex into a fresh runner (the promote-path splice).
   DataPlane dp_a(cfg);
-  ASSERT_TRUE(dp_a.Restore(b0->sealed).ok());
-  ASSERT_TRUE(dp_a.ApplyDelta(b1->sealed).ok());
-  auto annex = dp_a.ApplyDelta(b2->sealed);
+  ASSERT_TRUE(dp_a.ApplySeal(b0->sealed).ok());
+  ASSERT_TRUE(dp_a.ApplySeal(b1->sealed).ok());
+  auto annex = dp_a.ApplySeal(b2->sealed);
   ASSERT_TRUE(annex.ok()) << annex.status().ToString();
   Runner runner_a(&dp_a, pipeline, rc);
   ASSERT_TRUE(EngineLifecycle(&dp_a, &runner_a).AdoptState(*annex).ok());
@@ -545,48 +545,48 @@ TEST(CheckpointTest, DeltaChainRejectsReorderReplayAndCorruption) {
   // Reordered: skipping a link of the chain is detected by the base-position check.
   {
     DataPlane replica(cfg);
-    ASSERT_TRUE(replica.Restore(b0->sealed).ok());
-    EXPECT_EQ(replica.ApplyDelta(b2->sealed).status().code(), StatusCode::kDataLoss);
+    ASSERT_TRUE(replica.ApplySeal(b0->sealed).ok());
+    EXPECT_EQ(replica.ApplySeal(b2->sealed).status().code(), StatusCode::kDataLoss);
   }
   // Replayed: a delta applies exactly once; the second apply's base no longer matches.
   {
     DataPlane replica(cfg);
-    ASSERT_TRUE(replica.Restore(b0->sealed).ok());
-    ASSERT_TRUE(replica.ApplyDelta(b1->sealed).ok());
-    EXPECT_EQ(replica.ApplyDelta(b1->sealed).status().code(), StatusCode::kDataLoss);
+    ASSERT_TRUE(replica.ApplySeal(b0->sealed).ok());
+    ASSERT_TRUE(replica.ApplySeal(b1->sealed).ok());
+    EXPECT_EQ(replica.ApplySeal(b1->sealed).status().code(), StatusCode::kDataLoss);
   }
   // Corrupted mid-chain: the MAC rejects it, the replica's base state stays intact, and the
   // retransmitted authentic delta (and its successor) still applies.
   {
     DataPlane replica(cfg);
-    ASSERT_TRUE(replica.Restore(b0->sealed).ok());
+    ASSERT_TRUE(replica.ApplySeal(b0->sealed).ok());
     SealedCheckpoint corrupt = b1->sealed;
     corrupt.ciphertext[corrupt.ciphertext.size() / 2] ^= 0x01;
-    EXPECT_EQ(replica.ApplyDelta(corrupt).status().code(), StatusCode::kDataLoss);
-    ASSERT_TRUE(replica.ApplyDelta(b1->sealed).ok());
-    ASSERT_TRUE(replica.ApplyDelta(b2->sealed).ok());
+    EXPECT_EQ(replica.ApplySeal(corrupt).status().code(), StatusCode::kDataLoss);
+    ASSERT_TRUE(replica.ApplySeal(b1->sealed).ok());
+    ASSERT_TRUE(replica.ApplySeal(b2->sealed).ok());
   }
   // Forked base claim: rewriting the base pointer cannot graft a delta onto the wrong link.
   {
     DataPlane replica(cfg);
-    ASSERT_TRUE(replica.Restore(b0->sealed).ok());
-    ASSERT_TRUE(replica.ApplyDelta(b1->sealed).ok());
+    ASSERT_TRUE(replica.ApplySeal(b0->sealed).ok());
+    ASSERT_TRUE(replica.ApplySeal(b1->sealed).ok());
     SealedCheckpoint forged = b2->sealed;
     forged.base_chain_seq = b0->sealed.identity.chain_seq;
     forged.base_chain_head = b0->sealed.identity.chain_head;
-    EXPECT_EQ(replica.ApplyDelta(forged).status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(replica.ApplySeal(forged).status().code(), StatusCode::kDataLoss);
   }
   // Mode confusion is refused before any crypto: a full seal is not a delta and vice versa,
   // and a delta cannot seed a fresh plane.
   {
     DataPlane replica(cfg);
-    ASSERT_TRUE(replica.Restore(b0->sealed).ok());
-    EXPECT_EQ(replica.ApplyDelta(b0->sealed).status().code(), StatusCode::kFailedPrecondition);
+    ASSERT_TRUE(replica.ApplySeal(b0->sealed).ok());
+    EXPECT_EQ(replica.ApplySeal(b0->sealed).status().code(), StatusCode::kFailedPrecondition);
   }
   {
     DataPlane fresh(cfg);
-    EXPECT_EQ(fresh.Restore(b1->sealed).status().code(), StatusCode::kFailedPrecondition);
-    EXPECT_EQ(fresh.ApplyDelta(b1->sealed).status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(fresh.ApplySeal(b1->sealed).status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(fresh.ApplySeal(b1->sealed).status().code(), StatusCode::kFailedPrecondition);
   }
 }
 

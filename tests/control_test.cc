@@ -429,6 +429,18 @@ TEST(ControlTest, PipelineExportsMatchingVerifierSpec) {
   EXPECT_EQ(spec.per_window_stages[2].op, PrimitiveOp::kCount);
 }
 
+// Close stages are single-output (one reserved audit id per stage keeps close-stage ids
+// schedule-independent): declaring the multi-output kSegment as one is a programming error.
+TEST(PipelineDeathTest, SegmentAsWindowCloseStageAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Pipeline p("segment-at-close", 1000);
+        p.AtWindowClose(WindowStageSpec{.op = PrimitiveOp::kSegment});
+      },
+      "SBT_CHECK failed");
+}
+
 // The execution knobs are declared once (src/core/exec_knobs.h): a knob set at the very top —
 // EngineOptions — is observable at the bottom, on the live Runner's own config, with no
 // hand-copied per-layer field anywhere on the way down.

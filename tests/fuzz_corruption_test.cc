@@ -147,13 +147,13 @@ TEST_P(CorruptionFuzz, CorruptSealedCheckpointsAreRejectedAndNeverCrash) {
         break;
     }
     DataPlane fresh(fx.cfg);
-    auto restored = fresh.Restore(corrupt);
+    auto restored = fresh.ApplySeal(corrupt);
     ASSERT_FALSE(restored.ok()) << "trial " << trial;
     EXPECT_EQ(restored.status().code(), StatusCode::kDataLoss) << "trial " << trial;
   }
   // The pristine artifact still restores: rejection above is the corruption's doing.
   DataPlane fresh(fx.cfg);
-  EXPECT_TRUE(fresh.Restore(fx.sealed).ok());
+  EXPECT_TRUE(fresh.ApplySeal(fx.sealed).ok());
 }
 
 TEST_P(CorruptionFuzz, CorruptMidChainDeltasAreRejectedAndLeaveTheBaseIntact) {
@@ -166,66 +166,66 @@ TEST_P(CorruptionFuzz, CorruptMidChainDeltasAreRejectedAndLeaveTheBaseIntact) {
   Xoshiro256 rng(GetParam());
   for (int trial = 0; trial < 12; ++trial) {
     DataPlane replica(fx.cfg);
-    ASSERT_TRUE(replica.Restore(fx.sealed).ok()) << "trial " << trial;
+    ASSERT_TRUE(replica.ApplySeal(fx.sealed).ok()) << "trial " << trial;
     Status rejected;
     switch (rng.NextBelow(8)) {
       case 0: {  // bit flip anywhere in the delta ciphertext
         SealedCheckpoint corrupt = fx.delta1;
         corrupt.ciphertext[rng.NextBelow(corrupt.ciphertext.size())] ^=
             static_cast<uint8_t>(1u << rng.NextBelow(8));
-        rejected = replica.ApplyDelta(corrupt).status();
+        rejected = replica.ApplySeal(corrupt).status();
         break;
       }
       case 1: {  // truncation
         SealedCheckpoint corrupt = fx.delta1;
         corrupt.ciphertext.resize(rng.NextBelow(corrupt.ciphertext.size()));
-        rejected = replica.ApplyDelta(corrupt).status();
+        rejected = replica.ApplySeal(corrupt).status();
         break;
       }
       case 2: {  // MAC tamper
         SealedCheckpoint corrupt = fx.delta1;
         corrupt.mac[rng.NextBelow(corrupt.mac.size())] ^=
             static_cast<uint8_t>(1u << rng.NextBelow(8));
-        rejected = replica.ApplyDelta(corrupt).status();
+        rejected = replica.ApplySeal(corrupt).status();
         break;
       }
       case 3: {  // base position tamper (graft onto the wrong link)
         SealedCheckpoint corrupt = fx.delta1;
         corrupt.base_chain_seq += 1 + rng.NextBelow(1000);
-        rejected = replica.ApplyDelta(corrupt).status();
+        rejected = replica.ApplySeal(corrupt).status();
         break;
       }
       case 4: {  // claimed base head tamper
         SealedCheckpoint corrupt = fx.delta1;
         corrupt.base_chain_head[rng.NextBelow(corrupt.base_chain_head.size())] ^=
             static_cast<uint8_t>(1u << rng.NextBelow(8));
-        rejected = replica.ApplyDelta(corrupt).status();
+        rejected = replica.ApplySeal(corrupt).status();
         break;
       }
       case 5: {  // seal-position tamper (the delta's own chain stamp)
         SealedCheckpoint corrupt = fx.delta1;
         corrupt.identity.chain_seq += 1 + rng.NextBelow(1000);
-        rejected = replica.ApplyDelta(corrupt).status();
+        rejected = replica.ApplySeal(corrupt).status();
         break;
       }
       case 6:  // reordered: the second delta without the first
-        rejected = replica.ApplyDelta(fx.delta2).status();
+        rejected = replica.ApplySeal(fx.delta2).status();
         break;
       default: {  // replayed: the first delta twice
-        ASSERT_TRUE(replica.ApplyDelta(fx.delta1).ok()) << "trial " << trial;
-        rejected = replica.ApplyDelta(fx.delta1).status();
+        ASSERT_TRUE(replica.ApplySeal(fx.delta1).ok()) << "trial " << trial;
+        rejected = replica.ApplySeal(fx.delta1).status();
         // Rewind for the pristine-chain check below: this replica already holds delta1.
         ASSERT_FALSE(rejected.ok()) << "trial " << trial;
         EXPECT_EQ(rejected.code(), StatusCode::kDataLoss) << "trial " << trial;
-        EXPECT_TRUE(replica.ApplyDelta(fx.delta2).ok()) << "trial " << trial;
+        EXPECT_TRUE(replica.ApplySeal(fx.delta2).ok()) << "trial " << trial;
         continue;
       }
     }
     ASSERT_FALSE(rejected.ok()) << "trial " << trial;
     EXPECT_EQ(rejected.code(), StatusCode::kDataLoss) << "trial " << trial;
     // Nothing half-applied: the pristine chain still lands on this very replica.
-    EXPECT_TRUE(replica.ApplyDelta(fx.delta1).ok()) << "trial " << trial;
-    EXPECT_TRUE(replica.ApplyDelta(fx.delta2).ok()) << "trial " << trial;
+    EXPECT_TRUE(replica.ApplySeal(fx.delta1).ok()) << "trial " << trial;
+    EXPECT_TRUE(replica.ApplySeal(fx.delta2).ok()) << "trial " << trial;
   }
 }
 

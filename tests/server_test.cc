@@ -10,7 +10,9 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "src/control/benchmarks.h"
@@ -734,6 +736,373 @@ TEST(EdgeServerTest, StaleOrDuplicateShardCheckpointIsRejected) {
       << (report.engines[0].verify.violations.empty()
               ? ""
               : report.engines[0].verify.violations[0]);
+}
+
+// --- the shard lifecycle table (edge_server.h), one case per (shard state, operation) ---
+
+enum class LifecycleState { kServing, kStoppedByDetach, kStoppedByKill };
+enum class LifecycleOp { kSealInPlace, kDetach, kKill, kRestoreEmpty, kRestoreArtifacts, kResize };
+
+using LifecycleCase = std::tuple<LifecycleState, LifecycleOp>;
+
+std::string LifecycleCaseName(const ::testing::TestParamInfo<LifecycleCase>& info) {
+  static const char* const kStates[] = {"Serving", "StoppedByDetach", "StoppedByKill"};
+  static const char* const kOps[] = {"SealInPlace",  "Detach",           "Kill",
+                                     "RestoreEmpty", "RestoreArtifacts", "Resize"};
+  return std::string(kStates[static_cast<int>(std::get<0>(info.param))]) + "_" +
+         kOps[static_cast<int>(std::get<1>(info.param))];
+}
+
+class ShardLifecycleTest : public ::testing::TestWithParam<LifecycleCase> {};
+
+// Every operation returns the table's status on a shard in each state, and afterwards the
+// source holds its frames exactly when its engine is not resident on a serving shard — also
+// after a follow-up seal-in-place, which must not revive a stopped shard or wake the source of
+// an engine that is not there. Each case then makes the engine resident again from the seal it
+// holds and checks that every emitted event was ingested and the attestation holds.
+TEST_P(ShardLifecycleTest, StatusAndSourceFlowFollowTheTable) {
+  const auto [state, op] = GetParam();
+  TenantRegistry registry;
+  ASSERT_TRUE(registry.Add(MakeTenantSpec(1, "sensors", MakeWinSum(1000), 4u << 20)).ok());
+  const TenantSpec sensors = *registry.Find(1);
+
+  EdgeServerConfig cfg;
+  cfg.num_shards = 2;
+  cfg.host_secure_budget_bytes = 48u << 20;
+  EdgeServer server(cfg, std::move(registry));
+  FrameChannel channel(64);
+  ASSERT_TRUE(server.BindSource(1, 0, &channel).ok());
+  const uint32_t shard = server.RouteOf(1, 0);
+  ASSERT_TRUE(server.Start().ok());
+
+  // Two windows of 3,000 events in 1,000-event frames: the first is ingested before the state
+  // is reached, the second probes the source after the operation.
+  Generator generator(SourceGenConfig(sensors, WorkloadKind::kIntelLab, 3000, 2));
+  std::vector<Frame> first;
+  std::vector<Frame> probe;
+  while (auto frame = generator.NextFrame()) {
+    const bool first_done = !first.empty() && first.back().is_watermark;
+    (first_done ? probe : first).push_back(std::move(*frame));
+  }
+  ASSERT_EQ(probe.size(), 4u);
+  const auto push_all = [&channel](std::vector<Frame>& frames) {
+    for (Frame& frame : frames) {
+      ASSERT_TRUE(channel.Push(std::move(frame)));
+    }
+  };
+  const auto drained_within = [&channel](std::chrono::milliseconds limit) {
+    const auto deadline = std::chrono::steady_clock::now() + limit;
+    while (channel.size() != 0 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return channel.size() == 0;
+  };
+  // Flowing sources drain at once; a held source keeps every probe frame in its channel.
+  const auto expect_flow = [&](bool flows, const char* when) {
+    if (flows) {
+      EXPECT_TRUE(drained_within(std::chrono::milliseconds(5000))) << when;
+    } else {
+      EXPECT_FALSE(drained_within(std::chrono::milliseconds(50))) << when;
+      EXPECT_EQ(channel.size(), probe.size()) << when;
+    }
+  };
+  const auto total_carved = [&server] {
+    size_t carved = 0;
+    for (uint32_t s = 0; s < server.num_shards(); ++s) {
+      carved += server.shard_snapshot(s).carved_bytes;
+    }
+    return carved;
+  };
+
+  push_all(first);
+  ASSERT_TRUE(drained_within(std::chrono::milliseconds(5000)));
+  // The seal the case holds for its final restore. Killed shards keep the in-place seal taken
+  // just before the kill: nothing reached the engine in between, so restoring it loses nothing.
+  auto held =
+      server.Checkpoint({.shard = shard, .detach = state == LifecycleState::kStoppedByDetach});
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  ASSERT_EQ(held->size(), 1u);
+  if (state == LifecycleState::kStoppedByKill) {
+    ASSERT_TRUE(server.KillShard(shard).ok());
+  }
+
+  const bool serving_before = state == LifecycleState::kServing;
+  bool serving_after = serving_before;  // the state of `shard` after the operation
+  bool resident = serving_before;       // the engine is resident (on a serving shard)
+  Status status;
+  switch (op) {
+    case LifecycleOp::kSealInPlace: {
+      auto sealed = server.Checkpoint({.shard = shard});
+      status = sealed.status();
+      break;
+    }
+    case LifecycleOp::kDetach: {
+      auto sealed = server.Checkpoint({.shard = shard, .detach = true});
+      status = sealed.status();
+      if (sealed.ok() && !sealed->empty()) {
+        held = std::move(sealed);
+      }
+      serving_after = resident = false;
+      break;
+    }
+    case LifecycleOp::kKill:
+      status = server.KillShard(shard);
+      serving_after = resident = false;
+      break;
+    case LifecycleOp::kRestoreEmpty:
+      status = server.Restore(shard, {});
+      serving_after = true;
+      break;
+    case LifecycleOp::kRestoreArtifacts:
+      status = server.Restore(shard, *held);
+      serving_after = resident = true;
+      break;
+    case LifecycleOp::kResize:
+      status = server.Resize(3);
+      serving_after = true;
+      break;
+  }
+  // Only two operations refuse: sealing a stopped shard in place, and restoring the seal of
+  // an engine that is still live (the split-brain guard).
+  const bool refused = (op == LifecycleOp::kSealInPlace && !serving_before) ||
+                       (op == LifecycleOp::kRestoreArtifacts && serving_before);
+  EXPECT_EQ(status.code(), refused ? StatusCode::kFailedPrecondition : StatusCode::kOk)
+      << status.ToString();
+  EXPECT_EQ(total_carved() > 0, resident);
+
+  push_all(probe);
+  expect_flow(resident, "after the operation");
+  auto follow_up = server.Checkpoint({.shard = shard});
+  EXPECT_EQ(follow_up.status().code(),
+            serving_after ? StatusCode::kOk : StatusCode::kFailedPrecondition)
+      << follow_up.status().ToString();
+  expect_flow(resident, "after a follow-up seal in place");
+
+  if (!resident) {
+    ASSERT_TRUE(server.Restore(shard, std::move(*held)).ok());
+    expect_flow(true, "after the final restore");
+  }
+  const ServerReport report = server.Shutdown();
+  ASSERT_EQ(report.engines.size(), 1u);
+  const TenantShardReport& e = report.engines[0];
+  EXPECT_EQ(e.runner().events_ingested, generator.events_emitted());
+  EXPECT_EQ(e.dispatch_errors, 0u);
+  EXPECT_EQ(e.runner().windows_emitted, 2u);
+  EXPECT_TRUE(e.chain_ok);
+  ASSERT_TRUE(e.verified);
+  EXPECT_TRUE(e.verify.correct) << (e.verify.violations.empty() ? "" : e.verify.violations[0]);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPairs, ShardLifecycleTest,
+    ::testing::Combine(::testing::Values(LifecycleState::kServing,
+                                         LifecycleState::kStoppedByDetach,
+                                         LifecycleState::kStoppedByKill),
+                       ::testing::Values(LifecycleOp::kSealInPlace, LifecycleOp::kDetach,
+                                         LifecycleOp::kKill, LifecycleOp::kRestoreEmpty,
+                                         LifecycleOp::kRestoreArtifacts, LifecycleOp::kResize)),
+    LifecycleCaseName);
+
+// --- promotion onto a multi-shard server whose sources already have engines ---
+
+// Tenant 1's two windows of 3,000 events from one source, split after the first watermark.
+struct TwoWindows {
+  std::vector<Frame> first;
+  std::vector<Frame> second;
+  uint64_t events = 0;
+};
+
+TwoWindows MakeTwoWindows(const TenantSpec& spec) {
+  Generator generator(SourceGenConfig(spec, WorkloadKind::kIntelLab, 3000, 2));
+  TwoWindows windows;
+  while (auto frame = generator.NextFrame()) {
+    const bool first_done = !windows.first.empty() && windows.first.back().is_watermark;
+    (first_done ? windows.second : windows.first).push_back(std::move(*frame));
+  }
+  windows.events = generator.events_emitted();
+  return windows;
+}
+
+// Pushes the frames and waits until the server has taken every one of them.
+void FeedAll(FrameChannel& channel, std::vector<Frame> frames) {
+  for (Frame& frame : frames) {
+    ASSERT_TRUE(channel.Push(std::move(frame)));
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (channel.size() != 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(channel.size(), 0u);
+}
+
+// Ingests `frames` from `source` on a fresh primary and lifts the sealed engine off it.
+SealArtifact SealOnPrimary(const EdgeServerConfig& cfg, TenantRegistry registry,
+                           uint32_t source, std::vector<Frame> frames) {
+  EdgeServer primary(cfg, std::move(registry));
+  FrameChannel channel(64);
+  SBT_CHECK(primary.BindSource(1, source, &channel).ok());
+  SBT_CHECK(primary.Start().ok());
+  FeedAll(channel, std::move(frames));
+  auto sealed = primary.Checkpoint({.shard = primary.RouteOf(1, source), .detach = true});
+  SBT_CHECK(sealed.ok() && sealed->size() == 1);
+  primary.Shutdown();
+  return std::move((*sealed)[0]);
+}
+
+TenantRegistry SensorsRegistry() {
+  TenantRegistry registry;
+  SBT_CHECK(registry.Add(MakeTenantSpec(1, "sensors", MakeWinSum(1000), 4u << 20)).ok());
+  return registry;
+}
+
+EdgeServerConfig TwoShardConfig() {
+  EdgeServerConfig cfg;
+  cfg.num_shards = 2;
+  cfg.host_secure_budget_bytes = 48u << 20;
+  return cfg;
+}
+
+// The first source whose engine a two-shard server homes on shard 0.
+uint32_t SourceOnShardZero(const EdgeServer& server) {
+  uint32_t source = 0;
+  while (server.RouteOf(1, source) != 0) {
+    ++source;
+  }
+  return source;
+}
+
+// The engine that ingested every event of both windows and verifies as one session.
+void ExpectOwnsEveryEvent(const TenantShardReport& e, const TwoWindows& windows) {
+  EXPECT_EQ(e.runner().events_ingested, windows.events);
+  EXPECT_EQ(e.runner().windows_emitted, 2u);
+  EXPECT_EQ(e.dispatch_errors, 0u);
+  EXPECT_TRUE(e.chain_ok);
+  ASSERT_TRUE(e.verified);
+  EXPECT_TRUE(e.verify.correct) << (e.verify.violations.empty() ? "" : e.verify.violations[0]);
+}
+
+// A promoted engine takes its sources over from bind-time placeholders on any shard. The
+// standby binds a source whose placeholder lands on shard 0 and promotes the source's sealed
+// engine onto shard 1 — before Start (standby warm-up), and on a live server whose placeholder
+// has seen no frame yet. Every later frame must reach the promoted engine and its chain.
+TEST(EdgeServerTest, PromotedEngineTakesItsSourcesFromPlaceholdersOnOtherShards) {
+  const TenantRegistry session_registry = SensorsRegistry();
+  for (const bool live : {false, true}) {
+    SCOPED_TRACE(live ? "promoted on a live server" : "promoted before Start");
+    EdgeServer standby(TwoShardConfig(), SensorsRegistry());
+    const uint32_t source = SourceOnShardZero(standby);
+    TwoWindows windows = MakeTwoWindows(*session_registry.Find(1));
+    SealArtifact sealed =
+        SealOnPrimary(TwoShardConfig(), SensorsRegistry(), source, std::move(windows.first));
+
+    FrameChannel channel(64);
+    ASSERT_TRUE(standby.BindSource(1, source, &channel).ok());
+    ReplicaSession session(&session_registry);
+    ASSERT_TRUE(session.Apply(std::move(sealed)).ok());
+    if (live) {
+      ASSERT_TRUE(standby.Start().ok());
+    }
+    ASSERT_TRUE(standby.Promote(session, /*shard=*/1).ok());
+    if (!live) {
+      ASSERT_TRUE(standby.Start().ok());
+    }
+    FeedAll(channel, std::move(windows.second));
+
+    const ServerReport report = standby.Shutdown();
+    const TenantShardReport* promoted = nullptr;
+    for (const TenantShardReport& e : report.engines) {
+      if (e.restores > 0) {
+        promoted = &e;
+      }
+    }
+    ASSERT_NE(promoted, nullptr);
+    EXPECT_EQ(promoted->shard, 1u);
+    ExpectOwnsEveryEvent(*promoted, windows);
+  }
+}
+
+// An engine with real state keeps its sources: promoting a sealed engine whose source already
+// feeds a live engine on another shard is refused, and the live engine keeps ingesting.
+TEST(EdgeServerTest, PromotionRefusesToTakeASourceFromALiveEngine) {
+  const TenantRegistry session_registry = SensorsRegistry();
+  EdgeServer standby(TwoShardConfig(), SensorsRegistry());
+  const uint32_t source = SourceOnShardZero(standby);
+  TwoWindows windows = MakeTwoWindows(*session_registry.Find(1));
+  ReplicaSession session(&session_registry);
+  ASSERT_TRUE(
+      session.Apply(SealOnPrimary(TwoShardConfig(), SensorsRegistry(), source, windows.first))
+          .ok());
+
+  // An idle source bound first puts a placeholder on shard 1 and takes engine id 1, so the
+  // shard-0 engine's id differs from the sealed one's and the refusal is not the split-brain
+  // guard's (one engine id live twice).
+  uint32_t idle_source = 0;
+  while (standby.RouteOf(1, idle_source) != 1) {
+    ++idle_source;
+  }
+  FrameChannel idle(64);
+  ASSERT_TRUE(standby.BindSource(1, idle_source, &idle).ok());
+  FrameChannel channel(64);
+  ASSERT_TRUE(standby.BindSource(1, source, &channel).ok());
+  ASSERT_TRUE(standby.Start().ok());
+  FeedAll(channel, std::move(windows.first));  // the shard-0 engine ingests the first window
+  EXPECT_EQ(standby.Promote(session, /*shard=*/1).code(), StatusCode::kFailedPrecondition);
+  FeedAll(channel, std::move(windows.second));
+
+  const ServerReport report = standby.Shutdown();
+  ASSERT_EQ(report.engines.size(), 2u);  // nothing moved: both bind-time engines remain
+  for (const TenantShardReport& e : report.engines) {
+    EXPECT_EQ(e.restores, 0u);
+    if (e.shard == 0) {
+      ExpectOwnsEveryEvent(e, windows);
+    }
+  }
+}
+
+// A resize may home two engines of one tenant on the same shard (here every engine lands on
+// the one shard left). Their sources are disjoint, so both are adopted side by side: neither
+// is refused and dropped with its state, and every emitted event is in the report.
+TEST(EdgeServerTest, ResizeOntoOneShardKeepsEveryEngineOfATenant) {
+  TenantRegistry registry;
+  ASSERT_TRUE(registry.Add(MakeTenantSpec(1, "sensors", MakeWinSum(1000), 4u << 20)).ok());
+  const TenantSpec sensors = *registry.Find(1);
+  EdgeServerConfig cfg;
+  cfg.num_shards = 2;
+  cfg.host_secure_budget_bytes = 48u << 20;
+  EdgeServer server(cfg, std::move(registry));
+
+  constexpr uint32_t kSources = 8;
+  std::vector<std::unique_ptr<FrameChannel>> channels;
+  std::set<uint32_t> homes;
+  for (uint32_t source = 0; source < kSources; ++source) {
+    channels.push_back(std::make_unique<FrameChannel>(64));
+    ASSERT_TRUE(server.BindSource(1, source, channels.back().get()).ok());
+    homes.insert(server.RouteOf(1, source));
+  }
+  ASSERT_EQ(homes.size(), 2u);  // one engine of the tenant on each shard
+  ASSERT_TRUE(server.Start().ok());
+  uint64_t emitted = 0;
+  for (uint32_t source = 0; source < kSources; ++source) {
+    Generator generator(SourceGenConfig(sensors, WorkloadKind::kIntelLab, 1000, 2, 0, source));
+    generator.RunInto(channels[source].get());
+    emitted += generator.events_emitted();
+  }
+
+  const Status resized = server.Resize(1);
+  EXPECT_TRUE(resized.ok()) << resized.ToString();
+  const ServerReport report = server.Shutdown();
+  ASSERT_EQ(report.engines.size(), 2u);
+  uint64_t ingested = 0;
+  for (const TenantShardReport& e : report.engines) {
+    EXPECT_EQ(e.shard, 0u);
+    EXPECT_EQ(e.restores, 1u);
+    EXPECT_EQ(e.dispatch_errors, 0u);
+    ingested += e.runner().events_ingested;
+    EXPECT_TRUE(e.chain_ok);
+    ASSERT_TRUE(e.verified);
+    EXPECT_TRUE(e.verify.correct) << (e.verify.violations.empty() ? "" : e.verify.violations[0]);
+  }
+  EXPECT_EQ(ingested, emitted);
 }
 
 // Regression stress for the Runner drain/submit race: Drain spinning concurrently with
